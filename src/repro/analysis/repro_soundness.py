@@ -35,7 +35,9 @@ the contract a lint-time fact on top of the
            state the key cannot see
   ``K003`` a canonical-key emitter enumerates its keys explicitly and
            omits a dataclass field — fails structurally even before
-           any read of the field exists
+           any read of the field exists; likewise a cache-key function
+           (:data:`KEY_FUNCTIONS`) whose hashed payload omits one of its
+           parameters (a replay-mode input such as ``queue_depth``)
   ======== ==========================================================
 
 The analysis is deliberately conservative in the same way the effect
@@ -71,6 +73,11 @@ KEY_CLASSES = frozenset({
 #: Key classes serialised by a module-level function instead of a
 #: ``to_dict`` method (class name -> emitter function name).
 CANONICAL_EMITTERS: dict[str, str] = {"SSDConfig": "config_to_dict"}
+
+#: Module-level functions that hash their arguments into a cell key
+#: (``experiments/cache.py``): every parameter is an input of the cell,
+#: so each must be a key of the payload they hash.
+KEY_FUNCTIONS = frozenset({"cell_key"})
 
 #: Module-level functions whose call trees run inside a cached cell
 #: (the process-pool worker entry points of ``experiments/parallel.py``).
@@ -517,6 +524,24 @@ class SoundnessAnalysis:
                         f"dataclass field '{cls.name}.{field_name}' — "
                         f"every field must reach the cache key (emit it, "
                         f"or iterate dataclasses.fields(self))")
+        for relpath in sorted(self.index.modules):
+            functions = self.index.modules[relpath].functions
+            for name in sorted(KEY_FUNCTIONS & functions.keys()):
+                fn = functions[name]
+                emitted = {k.value for node in ast.walk(fn.node)
+                           if isinstance(node, ast.Dict)
+                           for k in node.keys
+                           if isinstance(k, ast.Constant)
+                           and isinstance(k.value, str)}
+                for param in fn.params:
+                    if param in emitted:
+                        continue
+                    self.emit(
+                        "K003", fn.relpath, fn.node,
+                        f"cache-key function {name}() takes '{param}' but "
+                        f"its hashed payload omits it — two cells that "
+                        f"differ only in '{param}' would share a key "
+                        f"(add a \"{param}\" entry to the payload)")
 
     # -- K001/K002: reads inside cached cells ------------------------------
 
@@ -638,7 +663,8 @@ class AmbientInputRule(_SoundnessRule):
 
 
 class CanonicalKeyCompletenessRule(_SoundnessRule):
-    """K003: explicit canonical-key emitter omits a dataclass field."""
+    """K003: explicit canonical-key emitter omits a dataclass field (or a
+    cache-key function omits a parameter)."""
 
     id = "K003"
     title = "canonical-key emitter omits a dataclass field"

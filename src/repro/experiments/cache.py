@@ -6,8 +6,9 @@ the same device configuration and synthetic-trace parameters always
 produce the same :class:`~repro.sim.simulator.SimulationResult`.  This
 module therefore keys each cell by the SHA-256 of everything that
 determines its outcome — the canonicalised :class:`~repro.config.SSDConfig`,
-the trace profile and generation parameters, the scheme, the scale/seed
-pair and a schema version — and stores the serialised result JSON under
+the trace profile and generation parameters, the scheme, the replay
+mode (open loop, or a closed-loop queue depth), the scale/seed pair and a
+schema version — and stores the serialised result JSON under
 ``~/.cache/repro`` (or ``REPRO_CACHE_DIR`` / ``--cache-dir``).
 
 Invalidation is purely by key: any Table-2 field change, a different
@@ -35,7 +36,7 @@ from ..units import Ms
 
 #: Bump whenever simulator behaviour or the result schema changes, so a
 #: code change can never be masked by a stale cache entry.
-CACHE_SCHEMA_VERSION = 5
+CACHE_SCHEMA_VERSION = 6
 
 
 def default_cache_dir() -> Path:
@@ -51,7 +52,8 @@ def cell_key(config: SSDConfig, profile: TraceProfile, n_requests: int,
              seed: int, length_factor: float = 1.0,
              pe: int | None = None,
              faults: dict | None = None,
-             frontend: dict | None = None) -> str:
+             frontend: dict | None = None,
+             queue_depth: int | None = None) -> str:
     """SHA-256 digest identifying one simulation cell.
 
     Everything that influences the replay goes in: the full nested config
@@ -71,6 +73,9 @@ def cell_key(config: SSDConfig, profile: TraceProfile, n_requests: int,
     canonicalised to ``None``, so they share keys with direct-path runs
     (whose results they reproduce bit-identically), while any enabled
     knob combination gets its own key space.
+
+    ``queue_depth`` is the closed-loop window of a closed-loop replay, or
+    ``None`` for an open-loop (arrival-paced) one.
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
@@ -85,9 +90,17 @@ def cell_key(config: SSDConfig, profile: TraceProfile, n_requests: int,
         "pe": pe,
         "faults": faults,
         "frontend": frontend,
+        "queue_depth": queue_depth,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _unlink_quietly(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass
 
 
 @dataclass
@@ -131,17 +144,23 @@ class ResultCache:
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (OSError, json.JSONDecodeError):
-            # A torn or corrupt entry is a miss; drop it so the fresh
-            # result replaces it.
+        except (OSError, ValueError):  # ValueError: bad JSON or UTF-8
+            payload = None
+        if not isinstance(payload, dict):
+            # A torn or corrupt entry (or JSON that is not an object) is a
+            # miss; drop it so the fresh result replaces it.
             self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            _unlink_quietly(path)
             return None
         self.stats.hits += 1
         return payload
+
+    def reject(self, key: str) -> None:
+        """Turn the hit just returned for ``key`` into a miss and drop the
+        entry: it parsed as JSON but did not decode into a result."""
+        self.stats.hits -= 1
+        self.stats.misses += 1
+        _unlink_quietly(self.path_for(key))
 
     def put(self, key: str, payload: dict) -> None:
         """Store one payload atomically (counted)."""

@@ -8,16 +8,20 @@
   paper's introduction attributes to second-level mapping tables, using
   the DFTL-style cached-mapping-table model: MGA's two-level table misses
   more than IPU's page-level-plus-offset table.
+
+Every cell replays through :meth:`RunContext.run` (an explicit device
+``config`` or a closed-loop ``queue_depth`` where a study needs one), so
+the studies are memoised and cached like the paper's figures.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..config import TranslationConfig
-from ..sim.simulator import Simulator
+from ..config import SSDConfig, TranslationConfig
+from ..ftl.translation import TranslationStats
 from .artifact import Artifact
-from .runner import default_context
+from .runner import RunContext, default_context, new_context
 
 #: Traces used by the extension studies (one write-hot, one read-hot).
 EXT_TRACES = ("ts0", "lun2")
@@ -25,16 +29,11 @@ EXT_TRACES = ("ts0", "lun2")
 
 def build_delta_comparison(scale: str = "small", seed: int = 1) -> Artifact:
     """Four-way comparison including the Delta scheme."""
-    from .. import SCHEMES
     ctx = default_context(scale, seed)
     rows = []
     for trace in EXT_TRACES:
         for scheme in ("baseline", "mga", "delta", "ipu"):
-            if scheme in ("baseline", "mga", "ipu"):
-                r = ctx.run(trace, scheme)
-            else:
-                ftl = SCHEMES["delta"](ctx.trace_config(trace))
-                r = Simulator(ftl).run(ctx.trace(trace))
+            r = ctx.run(trace, scheme)
             rows.append({
                 "Trace": trace,
                 "Scheme": scheme,
@@ -63,10 +62,9 @@ def build_seed_study(scale: str = "small", seed: int = 1) -> Artifact:
     under three different generator/device seeds to show they are
     properties of the mechanisms, not of one lucky trace realisation.
     """
-    from .runner import RunContext
     rows = []
     for s_ in (seed, seed + 1, seed + 2):
-        ctx = RunContext(scale=scale, seed=s_)
+        ctx = default_context(scale, s_)
         results = {scheme: ctx.run("ts0", scheme)
                    for scheme in ("baseline", "mga", "ipu")}
         base, mga, ipu = (results[k] for k in ("baseline", "mga", "ipu"))
@@ -92,35 +90,36 @@ def build_seed_study(scale: str = "small", seed: int = 1) -> Artifact:
     )
 
 
-def build_cache_sensitivity(scale: str = "small", seed: int = 1) -> Artifact:
-    """IPU behaviour versus SLC cache size (the Table 2 ratio is fixed at
-    5%; this sweeps the cache relative to the trace's hot set)."""
-    import dataclasses
+#: SLC cache sizes ext-cache visits, relative to the trace-sized cache.
+CACHE_FACTORS = (0.5, 1.0, 2.0)
 
-    from ..config import SSDConfig
-    from .runner import RunContext
 
-    ctx = RunContext(scale=scale, seed=seed)
-    base_cfg = ctx.trace_config("ts0")
-    trace = ctx.trace("ts0")
+def resized_cache_config(base_cfg: SSDConfig, factor: float) -> SSDConfig:
+    """``base_cfg`` with its SLC blocks per plane scaled by ``factor`` and
+    its high-density blocks per plane unchanged."""
     planes = base_cfg.geometry.planes
     base_slc_pp = max(1, round(base_cfg.geometry.blocks_per_plane
                                * base_cfg.cache.slc_ratio))
     mlc_pp = base_cfg.geometry.blocks_per_plane - base_slc_pp
+    slc_pp = max(1, round(base_slc_pp * factor))
+    bpp = slc_pp + mlc_pp
+    geometry = dataclasses.replace(
+        base_cfg.geometry, total_blocks=bpp * planes)
+    cache = dataclasses.replace(base_cfg.cache, slc_ratio=slc_pp / bpp)
+    return SSDConfig(geometry=geometry, cache=cache,
+                     reliability=base_cfg.reliability,
+                     timing=base_cfg.timing).validate()
 
+
+def build_cache_sensitivity(scale: str = "small", seed: int = 1) -> Artifact:
+    """IPU behaviour versus SLC cache size (the Table 2 ratio is fixed at
+    5%; this sweeps the cache relative to the trace's hot set)."""
+    ctx = default_context(scale, seed)
+    base_cfg = ctx.trace_config("ts0")
     rows = []
-    for factor in (0.5, 1.0, 2.0):
-        slc_pp = max(1, round(base_slc_pp * factor))
-        bpp = slc_pp + mlc_pp
-        geometry = dataclasses.replace(
-            base_cfg.geometry, total_blocks=bpp * planes)
-        cache = dataclasses.replace(base_cfg.cache, slc_ratio=slc_pp / bpp)
-        cfg = SSDConfig(geometry=geometry, cache=cache,
-                        reliability=base_cfg.reliability,
-                        timing=base_cfg.timing).validate()
-        from .. import SCHEMES
-        ftl = SCHEMES["ipu"](cfg)
-        r = Simulator(ftl).run(trace)
+    for factor in CACHE_FACTORS:
+        cfg = resized_cache_config(base_cfg, factor)
+        r = ctx.run("ts0", "ipu", config=cfg)
         rows.append({
             "cache factor": f"{factor:.1f}x",
             "SLC blocks": cfg.slc_blocks,
@@ -157,16 +156,12 @@ def build_qd_study(scale: str = "small", seed: int = 1,
     distribution.  ``--qd``/``--frontend`` on ``repro-ssd run`` map to
     the ``qds``/``frontend`` keywords.
     """
-    from .. import SCHEMES
-    from .runner import new_context
     ctx = default_context(scale, seed)
     rows = []
-    trace = ctx.trace("ts0")
     schemes = ("baseline", "mga", "ipu")
     for qd in qds:
         for scheme in schemes:
-            ftl = SCHEMES[scheme](ctx.trace_config("ts0"))
-            result = Simulator(ftl).run_closed(trace, queue_depth=qd)
+            result = ctx.run("ts0", scheme, queue_depth=qd)
             iops = (result.n_requests / result.sim_time_ms * 1e3
                     if result.sim_time_ms else 0.0)
             rows.append({
@@ -213,34 +208,39 @@ def build_qd_study(scale: str = "small", seed: int = 1,
     )
 
 
+def cmt_config(ctx: RunContext, trace: str) -> SSDConfig:
+    """The trace-sized device of ``trace`` with a cached mapping table.
+
+    The CMT covers ~30% of the trace's first-level working set: page-mapped
+    lookups mostly hit, while MGA's 4x-denser second-level key space cannot
+    fit.
+    """
+    base_cfg = ctx.trace_config(trace)
+    entries = 256
+    lpns = ctx.trace(trace).footprint_bytes // base_cfg.geometry.page_size
+    return dataclasses.replace(
+        base_cfg,
+        translation=TranslationConfig(
+            enabled=True, entries_per_page=entries,
+            cache_pages=max(2, int(0.3 * lpns / entries))))
+
+
 def build_translation_study(scale: str = "small", seed: int = 1) -> Artifact:
     """CMT hit ratios and the latency cost of second-level translation."""
-    from .. import SCHEMES
     ctx = default_context(scale, seed)
     rows = []
     for trace in EXT_TRACES:
-        base_cfg = ctx.trace_config(trace)
-        # Size the CMT to cover ~30% of the trace's first-level working
-        # set: page-mapped lookups mostly hit, while MGA's 4x-denser
-        # second-level key space cannot fit.
-        entries = 256
-        lpns = ctx.trace(trace).footprint_bytes // base_cfg.geometry.page_size
-        cache_pages = max(2, int(0.3 * lpns / entries))
+        cfg = cmt_config(ctx, trace)
         for scheme in ("baseline", "mga", "ipu"):
-            cfg = dataclasses.replace(
-                base_cfg,
-                translation=TranslationConfig(
-                    enabled=True, entries_per_page=entries,
-                    cache_pages=cache_pages))
-            ftl = SCHEMES[scheme](cfg)
-            result = Simulator(ftl).run(ctx.trace(trace))
+            result = ctx.run(trace, scheme, config=cfg)
+            cmt = TranslationStats(**result.cmt)
             plain = ctx.run(trace, scheme)
             rows.append({
                 "Trace": trace,
                 "Scheme": scheme,
-                "CMT hit ratio": f"{ftl.cmt.stats.hit_ratio:.1%}",
-                "misses": ftl.cmt.stats.misses,
-                "writebacks": ftl.cmt.stats.writebacks,
+                "CMT hit ratio": f"{cmt.hit_ratio:.1%}",
+                "misses": cmt.misses,
+                "writebacks": cmt.writebacks,
                 "latency ms": f"{result.avg_latency_ms:.4f}",
                 "vs no-CMT": (f"{result.avg_latency_ms / plain.avg_latency_ms - 1:+.1%}"
                               if plain.avg_latency_ms else "-"),

@@ -32,7 +32,7 @@ from ..config import (
     ScaleSpec,
     scaled_config,
 )
-from ..errors import ExperimentError
+from ..errors import ExperimentError, SimulationError
 from ..faults import FaultConfig, attach_faults
 from ..frontend import FrontendConfig
 from ..sim.simulator import SimulationResult, Simulator
@@ -224,20 +224,33 @@ class RunContext:
         return frontend
 
     def cell_key(self, trace_name: str, scheme: str, pe: int | None = None,
-                 ) -> str:
+                 queue_depth: int | None = None,
+                 config: SSDConfig | None = None) -> str:
         """Content hash identifying one simulation cell for the on-disk
-        cache: canonicalised config + trace parameters + scheme + context
-        identity (see :func:`repro.experiments.cache.cell_key`)."""
+        cache: canonicalised config + trace parameters + scheme + replay
+        mode + context identity (see
+        :func:`repro.experiments.cache.cell_key`)."""
         prof = profile(trace_name)
         faults = self._active_faults()
         frontend = self._active_frontend()
         return _cache_cell_key(
-            self.trace_config(trace_name, pe), prof,
+            self._device_config(trace_name, pe, config), prof,
             self.trace_requests(trace_name),
             estimate_interarrival_ms(prof, self.trace_config(trace_name)),
             scheme, self.scale, self.seed, self.length_factor, pe,
             faults=faults.to_dict() if faults is not None else None,
-            frontend=frontend.to_dict() if frontend is not None else None)
+            frontend=frontend.to_dict() if frontend is not None else None,
+            queue_depth=queue_depth)
+
+    def _device_config(self, trace_name: str, pe: int | None,
+                       config: SSDConfig | None) -> SSDConfig:
+        """The explicit ``config`` override, else the trace-sized one."""
+        if config is None:
+            return self.trace_config(trace_name, pe)
+        if pe is not None:
+            raise ExperimentError(
+                "pass either pe or an explicit config, not both")
+        return config
 
     def _check_scheme(self, scheme: str) -> None:
         from .. import SCHEMES
@@ -245,36 +258,75 @@ class RunContext:
             raise ExperimentError(
                 f"unknown scheme {scheme!r}; available: {', '.join(SCHEMES)}")
 
-    def run(self, trace_name: str, scheme: str, pe: int | None = None,
-            ) -> SimulationResult:
-        """Replay ``trace_name`` under ``scheme`` (memoised and cached)."""
-        from .. import SCHEMES
+    def run(self, trace_name: str, scheme: str, pe: int | None = None, *,
+            queue_depth: int | None = None,
+            config: SSDConfig | None = None) -> SimulationResult:
+        """Replay ``trace_name`` under ``scheme`` (memoised and cached).
+
+        ``queue_depth`` replays closed loop with that many requests
+        outstanding (:meth:`Simulator.run_closed`) instead of at the
+        trace's arrival times.  ``config`` replaces the trace-sized device
+        configuration; the trace itself is unchanged.  Both are part of
+        the memo and cache keys, like every other input of the cell.
+        """
         self._check_scheme(scheme)
-        key = (trace_name, scheme, pe)
-        if key in self._results:
-            return self._results[key]
-        ck = None
-        if self.cache is not None:
-            ck = self.cell_key(trace_name, scheme, pe)
-            payload = self.cache.get(ck)
-            if payload is not None:
-                self._results[key] = SimulationResult.from_dict(payload)
-                return self._results[key]
-        cfg = self.trace_config(trace_name, pe)
-        ftl = SCHEMES[scheme](cfg)
+        if queue_depth is not None and self._active_frontend() is not None:
+            raise ExperimentError(
+                "queue_depth selects the closed-loop driver; a front-end "
+                "replay takes its depth from the FrontendConfig")
+        cell = (trace_name, scheme, pe, queue_depth, config)
+        if cell in self._results:
+            return self._results[cell]
+        ck, result = self._restore(cell)
+        if result is None:
+            result = self._simulate(cell, ck)
+        self._results[cell] = result
+        return result
+
+    def _restore(self, cell: tuple) -> "tuple[str | None, SimulationResult | None]":
+        """``(cache key, cached result or None)`` for one cell.
+
+        An entry that parses as JSON but does not decode into a result is
+        a counted miss: it is dropped so the recomputed result replaces it.
+        """
+        if self.cache is None:
+            return None, None
+        ck = self.cell_key(*cell)
+        payload = self.cache.get(ck)
+        if payload is None:
+            return ck, None
+        try:
+            return ck, SimulationResult.from_dict(payload)
+        except (SimulationError, TypeError, ValueError, AttributeError):
+            self.cache.reject(ck)
+            return ck, None
+
+    def _simulate(self, cell: tuple, ck: str | None) -> SimulationResult:
+        """Replay one cell, count it and store it under cache key ``ck``."""
+        from .. import SCHEMES
+        trace_name, scheme, pe, queue_depth, config = cell
+        ftl = SCHEMES[scheme](self._device_config(trace_name, pe, config))
         attach_faults(ftl, self._active_faults(), seed=self.seed)
+        trace = self.trace(trace_name)
         frontend = self._active_frontend()
         if frontend is not None:
             from ..frontend.simulate import FrontendSimulator
-            result = FrontendSimulator(ftl, frontend).run(self.trace(trace_name))
+            result = FrontendSimulator(ftl, frontend).run(trace)
+        elif queue_depth is not None:
+            result = Simulator(ftl).run_closed(trace, queue_depth=queue_depth)
         else:
-            result = Simulator(ftl).run(self.trace(trace_name))
-        self.executed_cells += 1
-        self.executed_seconds += result.wall_seconds
+            result = Simulator(ftl).run(trace)
+        self._count(result)
         if self.cache is not None:
             self.cache.put(ck, result.to_dict())
-        self._results[key] = result
         return result
+
+    def _count(self, result: SimulationResult) -> None:
+        """Record one replayed (not restored) cell, here and process-wide."""
+        self.executed_cells += 1
+        self.executed_seconds += result.wall_seconds
+        _EXECUTED["cells"] += 1
+        _EXECUTED["seconds"] += result.wall_seconds
 
     def run_cells(self, cells, jobs: int | None = None) -> None:
         """Memoise every ``(trace, scheme, pe)`` cell, in parallel.
@@ -285,28 +337,29 @@ class RunContext:
         worker count of 1 this is plain sequential :meth:`run`.
         """
         from . import parallel
-        cells = [(t, s, pe) for (t, s, pe) in cells]
-        for _, scheme, _ in cells:
-            self._check_scheme(scheme)
+        cells = [(t, s, pe, None, None) for (t, s, pe) in cells]
+        for cell in cells:
+            self._check_scheme(cell[1])
         jobs = jobs if jobs is not None else self.jobs
         n_workers = parallel.resolve_jobs(jobs) if jobs is not None else 1
         if n_workers <= 1:
-            for trace_name, scheme, pe in cells:
+            for trace_name, scheme, pe, _, _ in cells:
                 self.run(trace_name, scheme, pe=pe)
             return
-        pending: list[tuple[tuple, str]] = []
-        for key in cells:
-            if key in self._results:
+        pending: list[tuple[tuple, str | None]] = []
+        for cell in cells:
+            if cell in self._results:
                 continue
-            trace_name, scheme, pe = key
-            if self.cache is not None:
-                ck = self.cell_key(trace_name, scheme, pe)
-                payload = self.cache.get(ck)
-                if payload is not None:
-                    self._results[key] = SimulationResult.from_dict(payload)
-                    continue
-            pending.append(key)
-        if not pending:
+            ck, result = self._restore(cell)
+            if result is not None:
+                self._results[cell] = result
+            else:
+                pending.append((cell, ck))
+        if len(pending) <= 1:
+            # A pool of one would replay in this process; do it directly
+            # so the cell is counted (and its cache consulted) once.
+            for cell, ck in pending:
+                self._results[cell] = self._simulate(cell, ck)
             return
         cache_dir = str(self.cache.root) if self.cache is not None else None
         faults = self._active_faults()
@@ -320,13 +373,13 @@ class RunContext:
                               cache_dir=cache_dir,
                               faults_json=faults_json,
                               frontend_json=frontend_json)
-            for (t, s, pe) in pending
+            for (t, s, pe, _, _), _ in pending
         ]
-        for key, payload in zip(pending, parallel.run_cells(specs, n_workers)):
+        for (cell, _), payload in zip(pending,
+                                      parallel.run_cells(specs, n_workers)):
             result = SimulationResult.from_dict(payload)
-            self.executed_cells += 1
-            self.executed_seconds += result.wall_seconds
-            self._results[key] = result
+            self._count(result)
+            self._results[cell] = result
 
     def run_matrix(self, traces: "tuple[str, ...] | None" = None,
                    schemes: "tuple[str, ...]" = SCHEME_ORDER,
@@ -336,7 +389,7 @@ class RunContext:
         names = traces if traces is not None else TRACE_NAMES
         self.run_cells([(t, s, pe) for t in names for s in schemes], jobs=jobs)
         return {
-            (t, s): self._results[(t, s, pe)]
+            (t, s): self._results[(t, s, pe, None, None)]
             for t in names
             for s in schemes
         }
@@ -348,12 +401,16 @@ _DEFAULT_CONTEXTS: dict[tuple[str, int], RunContext] = {}
 
 #: Every pool of long-lived contexts :func:`configure_execution` manages
 #: (the sweep module registers its own; ad-hoc ``RunContext``s are not
-#: tracked).
+#: tracked, but their cells still reach :data:`_EXECUTED`).
 _CONTEXT_POOLS: list[dict] = [_DEFAULT_CONTEXTS]
 
 #: Execution settings applied to every context created via
 #: :func:`new_context` / :func:`default_context`.
 _EXEC_DEFAULTS: dict = {"jobs": None, "cache": None}
+
+#: Cells replayed in this process (or by its worker pools) and their
+#: replay wall seconds, over every context: the CLI summary counters.
+_EXECUTED: dict = {"cells": 0, "seconds": 0.0}
 
 _UNSET = object()
 
@@ -401,13 +458,12 @@ def default_context(scale: str = "small", seed: int = 1) -> RunContext:
 
 
 def execution_summary() -> dict:
-    """Aggregate cell/cache counters over the managed contexts (the
-    numbers behind the CLI summary line)."""
-    contexts = [ctx for pool in _CONTEXT_POOLS for ctx in pool.values()]
+    """Process-wide cell counters and the shared cache's hit/miss
+    counters (the numbers behind the CLI summary line)."""
     cache = _EXEC_DEFAULTS["cache"]
     return {
-        "executed_cells": sum(c.executed_cells for c in contexts),
-        "executed_seconds": sum(c.executed_seconds for c in contexts),
+        "executed_cells": _EXECUTED["cells"],
+        "executed_seconds": _EXECUTED["seconds"],
         "cache_hits": cache.stats.hits if cache is not None else 0,
         "cache_misses": cache.stats.misses if cache is not None else 0,
         "cache_stores": cache.stats.stores if cache is not None else 0,

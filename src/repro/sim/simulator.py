@@ -14,7 +14,7 @@ from __future__ import annotations
 import gc
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -130,6 +130,12 @@ class SimulationResult:
     fleet_device: int = -1
     fleet_epoch: int = -1
 
+    #: Cached-mapping-table counters (lookups/hits/misses/writebacks) of a
+    #: replay with address translation enabled; ``None`` otherwise, and
+    #: then absent from :meth:`to_dict`, so translation-off payloads are
+    #: byte-identical to the pre-translation-stats schema's.
+    cmt: dict[str, int] | None = None
+
     # -- headline metrics -------------------------------------------------
 
     @property
@@ -188,6 +194,8 @@ class SimulationResult:
                 value = [] if value is None else [float(v) for v in value]
             elif f.name == "level_writes":
                 value = {str(k): int(v) for k, v in sorted(value.items())}
+            elif f.name == "cmt" and value is None:
+                continue
             out[f.name] = value
         return out
 
@@ -284,6 +292,9 @@ def collect_result(ftl, config: SSDConfig, *, trace_name: str,
     result.mapping_table_bytes = breakdown.mapping_bytes
     result.metadata_bytes = breakdown.metadata_bytes
     _apply_fault_stats(result, ftl)
+    cmt = getattr(ftl, "cmt", None)
+    if cmt is not None:
+        result.cmt = asdict(cmt.stats)
     return result
 
 

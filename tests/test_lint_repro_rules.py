@@ -183,6 +183,33 @@ def test_k003_accepts_structural_emitter(tmp_path):
     assert "K003" not in rules
 
 
+CELL_KEY_FN = """
+    import hashlib
+    import json
+
+    def cell_key(scheme, seed, queue_depth=None):
+        payload = {PAYLOAD}
+        blob = json.dumps(payload, sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()
+    """
+
+
+def test_k003_flags_key_function_omitting_a_parameter(tmp_path):
+    rules, result = lint_tree(tmp_path, {
+        "experiments/cache.py": CELL_KEY_FN.replace(
+            "{PAYLOAD}", '{"scheme": scheme, "seed": seed}')})
+    assert rules == ["K003"]
+    assert "'queue_depth'" in result.violations[0].message
+
+
+def test_k003_accepts_key_function_hashing_every_parameter(tmp_path):
+    rules, _ = lint_tree(tmp_path, {
+        "experiments/cache.py": CELL_KEY_FN.replace(
+            "{PAYLOAD}", '{"scheme": scheme, "seed": seed, '
+                         '"queue_depth": queue_depth}')})
+    assert "K003" not in rules
+
+
 # --------------------------------------------------------------------------
 # P001 — loop-carry state vs the pickle protocol
 
@@ -575,6 +602,16 @@ def test_mutation_dropping_key_field_trips_k001_and_k003(tmp_path):
     # simulate_fleet_device -> run_device -> tenant scheduling.
     assert "fleet/runner.py" in k001_paths
     assert all("weight" in v.message for v in result.violations)
+
+
+def test_mutation_unhashed_queue_depth_trips_k003(tmp_path):
+    pkg = _mutated_tree(
+        tmp_path, "experiments/cache.py",
+        '"queue_depth": queue_depth,', "")
+    result = run_lint(pkg, select=["K"])
+    assert [(v.rule, v.path) for v in result.violations] == [
+        ("K003", "experiments/cache.py")]
+    assert "'queue_depth'" in result.violations[0].message
 
 
 def test_mutation_removing_rebind_trips_p002(tmp_path):

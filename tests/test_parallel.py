@@ -75,7 +75,7 @@ class TestCacheIntegration:
         assert warm.executed_cells == 0
         assert cache.stats.hits == 1
         assert (r.deterministic_dict()
-                == cold._results[("ts0", "ipu", None)].deterministic_dict())
+                == cold.run("ts0", "ipu").deterministic_dict())
 
     def test_parallel_workers_populate_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
