@@ -92,12 +92,16 @@ class WriteBuffer:
                    ) -> "tuple[list[Lsn], list[Lsn]]":
         """Partition a host read into ``(hits, misses)``, order preserved.
 
-        Counter contract: over any run, ``read_hits + read_misses`` equals
-        the total subpages read.
+        With no hit, ``misses`` is ``lsns`` itself (read, never mutated,
+        by the FTL read path).  Counter contract: over any run,
+        ``read_hits + read_misses`` equals the total subpages read.
         """
         entries = self._entries
-        hits = [lsn for lsn in lsns if lsn in entries]
-        misses = [lsn for lsn in lsns if lsn not in entries]
+        hits = [lsn for lsn in lsns if lsn in entries] if entries else []
+        if hits:
+            misses = [lsn for lsn in lsns if lsn not in entries]
+        else:
+            misses = lsns
         self.stats.read_hits += len(hits)
         self.stats.read_misses += len(misses)
         return hits, misses
@@ -111,9 +115,11 @@ class WriteBuffer:
         entry still inside its delay window.  Coalesced neighbours may be
         younger — riding along is the point of coalescing.
         """
-        spans: list[list[Lsn]] = []
         entries = self._entries
         delay = self.delay_ms
+        if not entries or now - next(iter(entries.values())) < delay:
+            return []  # head not yet due: the common case, one check
+        spans: list[list[Lsn]] = []
         while entries:
             since = next(iter(entries.values()))
             if now - since < delay:

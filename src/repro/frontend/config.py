@@ -46,8 +46,10 @@ class FrontendConfig:
     #: Flush-on-pressure drains the buffer down to this fraction of the
     #: capacity, so one overflow amortises over a batch of evictions.
     flush_watermark: float = 0.75
-    #: Entries dirty for longer than this are destaged by the periodic
-    #: writeback sweep (0 = destage only under pressure / at drain).
+    #: Entries dirty for at least this long are destaged by the periodic
+    #: writeback sweep, which runs at every request arrival.  0 destages
+    #: every dirty entry at the next arrival, coalescing only what was
+    #: written since the previous one; it does not disable the sweep.
     writeback_delay_ms: Ms = 4.0
     #: Cap on how many adjacent dirty subpages one eviction coalesces
     #: into a single FTL write span.

@@ -68,25 +68,6 @@ class ResourceSet:
         """Channel server hosting ``block_id``."""
         return self._pair[block_id][1]
 
-    def acquire_for_block(self, block_id: int, earliest: Ms,
-                          duration: Ms) -> tuple[Ms, Ms]:
-        """Reserve chip and channel together for one flash operation.
-
-        The op starts when both servers are free and occupies both for the
-        full duration — a first-order model that slightly over-serialises
-        the channel but keeps GC blocking behaviour faithful.
-        """
-        chip, channel = self._pair[block_id]
-        start = max(earliest, chip.next_free, channel.next_free)
-        end = start + duration
-        chip.next_free = end
-        chip.busy_ms += duration
-        chip.operations += 1
-        channel.next_free = end
-        channel.busy_ms += duration
-        channel.operations += 1
-        return start, end
-
     def acquire_pipelined(self, block_id: int, earliest: Ms,
                           chip_ms: Ms, channel_ms: Ms,
                           chip_first: bool) -> tuple[Ms, Ms]:

@@ -14,16 +14,19 @@ from __future__ import annotations
 import gc
 import math
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from ..config import SSDConfig
 from ..errors import SimulationError
+from ..nand.geometry import Geometry
 from ..traces.model import Trace
 from ..units import Ms
 from .engine import Engine
 from .ops import Cause, OpKind
+from .pricing import op_pricer
 from .resources import ResourceSet
 from .timing import TimingModel
 
@@ -338,6 +341,27 @@ def _source_chunks(source) -> "tuple[str, object]":
     return source.name, chunks()
 
 
+def request_extents(trace: Trace, geometry: Geometry,
+                    ) -> "tuple[list[int], list[int]]":
+    """Per-request subpage extents of one chunk: ``(firsts, lasts)``.
+
+    Request ``i`` touches LSNs ``range(firsts[i], lasts[i])``, exactly
+    ``geometry.byte_range_to_lsns(offset, size)``.  Replay touches every
+    request, so the extent arithmetic (two integer divisions each) runs
+    once over the whole chunk; an invalid extent is re-checked by the
+    scalar path so the error message is the same.
+    """
+    subpage_size = geometry.config.subpage_size
+    offsets = np.asarray(trace.offsets)
+    sizes = np.asarray(trace.sizes)
+    if len(offsets) and (offsets.min() < 0 or sizes.min() <= 0):
+        for offset, size in zip(offsets.tolist(), sizes.tolist()):
+            geometry.byte_range_to_lsns(offset, size)
+    firsts = (offsets // subpage_size).tolist()
+    lasts = ((offsets + sizes - 1) // subpage_size + 1).tolist()
+    return firsts, lasts
+
+
 class OpenLoopReplay:
     """Resumable open-loop replay: feed trace chunks, harvest a result.
 
@@ -393,81 +417,31 @@ class OpenLoopReplay:
     def feed(self, trace: Trace) -> None:
         """Replay one chunk (absolute timestamps, arrival order)."""
         n = len(trace)
-        latencies = np.zeros(n, dtype=np.float64)
+        latencies = [0.0] * n
         is_write = trace.is_write
         read_raw_errors = self.read_raw_errors
         read_bits = self.read_bits
 
-        resources = self.resources
         ftl = self.ftl
         timing = self.timing
-        byte_range_to_lsns = ftl.geometry.byte_range_to_lsns
-        pipelined = self.config.timing.pipelined_bus
+        reserve = op_pricer(timing, self.resources,
+                            self.config.timing.pipelined_bus)
         observer = self.observer
         idle_gc = self.idle_gc
         idle_threshold = self.idle_threshold_ms
         subpage_bits = self._subpage_bits
         handle_write = ftl.handle_write
         handle_read = ftl.handle_read
-        segments_ms = timing.segments_ms
-        acquire_pipelined = resources.acquire_pipelined
         hostlike = (Cause.HOST, Cause.TRANSLATION)
+        host_cause = Cause.HOST
+        read_kind = OpKind.READ
         faults_plan = getattr(ftl, "faults", None)
         next_power_loss = self.next_power_loss
         base_index = self.n
 
-        pair = resources._pair
-        erase_ms = timing._erase_ms
-        transfer_unit = timing._transfer
-        read_ms = timing._read
-        write_ms = timing._write
-        erase_kind = OpKind.ERASE
-        program_kind = OpKind.PROGRAM
-
-        def reserve(op, when):
-            if pipelined:
-                chip_ms, chan_ms, chip_first = segments_ms(op)
-                return acquire_pipelined(
-                    op.block_id, when, chip_ms, chan_ms, chip_first)
-            # Inlined TimingModel.duration_ms + ResourceSet.acquire_for_block
-            # (same arithmetic in the same order — the replay prices every
-            # op this way, so the two call frames per op are measurable).
-            kind = op.kind
-            if kind is erase_kind:
-                duration = erase_ms
-            else:
-                transfer = transfer_unit * (op.transfer_slots or op.n_slots)
-                if kind is program_kind:
-                    duration = transfer + write_ms[op.is_slc]
-                else:
-                    duration = read_ms[op.is_slc] + transfer + op.ecc_ms
-            chip, channel = pair[op.block_id]
-            start = max(when, chip.next_free, channel.next_free)
-            end = start + duration
-            chip.next_free = end
-            chip.busy_ms += duration
-            chip.operations += 1
-            channel.next_free = end
-            channel.busy_ms += duration
-            channel.operations += 1
-            return start, end
-
         times = trace.times_ms.tolist()
-        offsets = trace.offsets.tolist()
-        sizes = trace.sizes.tolist()
         writes = is_write.tolist()
-        # Vectorized byte_range_to_lsns: the replay touches every request,
-        # so the extent arithmetic (two integer divisions per request) is
-        # done once on the whole chunk instead of per-call.  Validation
-        # matches Geometry.byte_range_to_lsns.
-        subpage_size = ftl.geometry.config.subpage_size
-        offs_arr = np.asarray(trace.offsets)
-        size_arr = np.asarray(trace.sizes)
-        if len(offs_arr) and (offs_arr.min() < 0 or size_arr.min() <= 0):
-            for i in range(n):  # defer to the scalar path for the message
-                byte_range_to_lsns(offsets[i], sizes[i])
-        firsts = (offs_arr // subpage_size).tolist()
-        lasts = ((offs_arr + size_arr - 1) // subpage_size + 1).tolist()
+        firsts, lasts = request_extents(trace, ftl.geometry)
         last_arrival = self.last_arrival
         now = self.now
         for i in range(n):
@@ -495,11 +469,11 @@ class OpenLoopReplay:
             for op in ops:
                 if op.cause not in hostlike:
                     continue
-                _, end = reserve(op, now)
+                end = reserve(op, now)
                 if end > complete:
                     complete = end
-                if (not write and op.kind is OpKind.READ
-                        and op.cause is Cause.HOST):
+                if (not write and op.kind is read_kind
+                        and op.cause is host_cause):
                     read_raw_errors += op.raw_errors
                     read_bits += op.n_slots * subpage_bits
             for op in ops:
@@ -517,7 +491,7 @@ class OpenLoopReplay:
         self.read_raw_errors = read_raw_errors
         self.read_bits = read_bits
         if n:
-            self._window_lat.append(latencies)
+            self._window_lat.append(np.array(latencies, dtype=np.float64))
             self._window_iw.append(np.asarray(is_write))
 
     def drain_window(self) -> tuple[np.ndarray, np.ndarray]:
@@ -593,7 +567,7 @@ class ClosedLoopReplay:
         self.read_raw_errors = 0.0
         self.read_bits = 0
         #: Completions of the last ``queue_depth`` requests, oldest first.
-        self.ring: list[float] = []
+        self.ring: deque[float] = deque()
         self._window_lat: list[np.ndarray] = []
         self._window_iw: list[np.ndarray] = []
         self._done_lat: list[np.ndarray] = []
@@ -602,7 +576,7 @@ class ClosedLoopReplay:
     def feed(self, trace: Trace) -> None:
         """Replay one chunk at the fixed queue depth."""
         n = len(trace)
-        latencies = np.zeros(n, dtype=np.float64)
+        latencies = [0.0] * n
         is_write = trace.is_write
         read_raw_errors = self.read_raw_errors
         read_bits = self.read_bits
@@ -610,54 +584,47 @@ class ClosedLoopReplay:
         ring = self.ring
         max_completion = self.max_completion
 
-        resources = self.resources
         ftl = self.ftl
-        timing = self.timing
-        byte_range_to_lsns = ftl.geometry.byte_range_to_lsns
-        pipelined = self.config.timing.pipelined_bus
+        reserve = op_pricer(self.timing, self.resources,
+                            self.config.timing.pipelined_bus)
+        subpage_bits = self._subpage_bits
+        handle_write = ftl.handle_write
+        handle_read = ftl.handle_read
+        hostlike = (Cause.HOST, Cause.TRANSLATION)
+        host_cause = Cause.HOST
+        read_kind = OpKind.READ
         observer = self.observer
         base_index = self.n
         now = self.now
 
+        writes = is_write.tolist()
+        firsts, lasts = request_extents(trace, ftl.geometry)
         for i in range(n):
             if len(ring) >= queue_depth:
-                head = ring.pop(0)
+                head = ring.popleft()
                 if head > now:
                     now = head
-            lsns = list(byte_range_to_lsns(int(trace.offsets[i]),
-                                           int(trace.sizes[i])))
-            write = bool(is_write[i])
+            lsns = list(range(firsts[i], lasts[i]))
+            write = writes[i]
             if write:
-                ops = ftl.handle_write(lsns, now)
+                ops = handle_write(lsns, now)
             else:
-                ops = ftl.handle_read(lsns, now)
+                ops = handle_read(lsns, now)
             complete = now
             for op in ops:
-                if op.cause not in (Cause.HOST, Cause.TRANSLATION):
+                if op.cause not in hostlike:
                     continue
-                if pipelined:
-                    chip_ms, chan_ms, chip_first = timing.segments_ms(op)
-                    _, end = resources.acquire_pipelined(
-                        op.block_id, now, chip_ms, chan_ms, chip_first)
-                else:
-                    _, end = resources.acquire_for_block(
-                        op.block_id, now, timing.duration_ms(op))
+                end = reserve(op, now)
                 if end > complete:
                     complete = end
-                if (not write and op.kind is OpKind.READ
-                        and op.cause is Cause.HOST):
+                if (not write and op.kind is read_kind
+                        and op.cause is host_cause):
                     read_raw_errors += op.raw_errors
-                    read_bits += op.n_slots * self._subpage_bits
+                    read_bits += op.n_slots * subpage_bits
             for op in ops:
-                if op.cause in (Cause.HOST, Cause.TRANSLATION):
+                if op.cause in hostlike:
                     continue
-                if pipelined:
-                    chip_ms, chan_ms, chip_first = timing.segments_ms(op)
-                    resources.acquire_pipelined(
-                        op.block_id, now, chip_ms, chan_ms, chip_first)
-                else:
-                    resources.acquire_for_block(
-                        op.block_id, now, timing.duration_ms(op))
+                reserve(op, now)
             ring.append(complete)
             if complete > max_completion:
                 max_completion = complete
@@ -671,7 +638,7 @@ class ClosedLoopReplay:
         self.read_raw_errors = read_raw_errors
         self.read_bits = read_bits
         if n:
-            self._window_lat.append(latencies)
+            self._window_lat.append(np.array(latencies, dtype=np.float64))
             self._window_iw.append(np.asarray(is_write))
 
     # Shared window/result plumbing (identical contract to the open loop).

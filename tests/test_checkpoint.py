@@ -13,6 +13,7 @@ the payload unpickles).
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -105,10 +106,19 @@ class TestResumeBitIdentity:
 
     def test_frontend_resume(self):
         """The front-end replay (write buffer + scheduler) resumes too."""
+        self._check_frontend_resume(tiny_config(seed=3))
+
+    def test_frontend_resume_pipelined_bus(self):
+        """... and so does its op pricer on the pipelined bus model."""
+        cfg = tiny_config(seed=3)
+        self._check_frontend_resume(dataclasses.replace(
+            cfg, timing=dataclasses.replace(cfg.timing, pipelined_bus=True)))
+
+    @staticmethod
+    def _check_frontend_resume(cfg):
         from repro.frontend import FrontendConfig
         from repro.frontend.simulate import FrontendSimulator
 
-        cfg = tiny_config(seed=3)
         trace = short_trace(seed=5, n_requests=500)
         first, rest = split(trace, 210)
         fc = FrontendConfig.from_qd(4)
