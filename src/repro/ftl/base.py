@@ -1,18 +1,29 @@
 """Shared FTL plumbing.
 
 :class:`BaseFTL` owns the flash array, the per-region allocators and
-garbage collectors, the ECC model, and implements everything the three
-schemes have in common: request dispatch, the read path (including *pseudo
-reads* of never-written data, assumed pre-existing in the high-density
-region), allocation helpers with GC fallback, and statistics.
+garbage collectors, the ECC model and the LSN -> PPA subpage map, and
+implements everything the schemes have in common: request dispatch, the
+read path (including *pseudo reads* of never-written data, assumed
+pre-existing in the high-density region), allocation helpers with GC
+fallback, statistics, and the write-placement primitive every scheme
+programs through::
 
-Subclasses implement::
+    _retire(lsns, mappings)      unbind LSNs, invalidate their old versions
+    _host_page(level, now, ops)  SLC page at ``level``, else an MLC page
+    _land(block, page, slots, lsns, now, cause)
+                                 program, bind each LSN at the page the
+                                 data really landed on, count the level
 
-    lookup(lsn)                  logical subpage -> PPA or None
-    write(lsns, now)             the scheme's write path
+A scheme is only its placement policy.  Subclasses implement::
+
+    write(lsns, now)             the host write path: target level, slot
+                                 layout, retire-versus-allocate order
     _relocate_slc_page(...)      where SLC GC moves a page's valid data
     _relocate_mlc_page(...)      where MLC GC moves a page's valid data
-    _make_slc_policy()           the SLC victim-selection policy
+
+and may override ``_make_slc_policy``/``_make_mlc_policy`` (victim
+selection) and ``gc_finish`` (a hook both collectors run before erasing
+a drained victim).
 """
 
 from __future__ import annotations
@@ -31,8 +42,9 @@ from ..nand.wear import WearTracker
 from ..sim.ops import Cause, OpKind, OpRecord
 from ..units import Lsn, Ms
 from .allocator import RegionAllocator
-from .gc import GarbageCollector
+from .gc import FinishFn, GarbageCollector
 from .levels import BlockLevel
+from .mapping import SubpageMap
 from .translation import CachedMappingTable
 from .victim import GreedyPageVictimPolicy, GreedyVictimPolicy, VictimPolicy
 
@@ -81,10 +93,13 @@ class FtlStats:
 
 
 class BaseFTL(abc.ABC):
-    """Common machinery for the Baseline, MGA and IPU schemes."""
+    """Common machinery for the Baseline, MGA, IPU and Delta schemes."""
 
     scheme_name: str = "base"
     uses_partial_programming: bool = False
+    #: Pre-erase hook of both collectors, ``(now, cause) -> ops``; None
+    #: when a scheme's relocations complete inline.
+    gc_finish: FinishFn | None = None
 
     def __init__(self, config: SSDConfig, flash: FlashArray | None = None):
         config.validate()
@@ -94,6 +109,7 @@ class BaseFTL(abc.ABC):
         self.ecc = EccModel(config.timing, config.reliability)
         self.rber = self.flash.rber
         self.stats = FtlStats()
+        self.subpage_map = SubpageMap()
 
         # The SLC region is small; cap its write striping so the open
         # blocks per (level, stripe) don't consume the whole cache.
@@ -106,10 +122,12 @@ class BaseFTL(abc.ABC):
         self.slc_gc = GarbageCollector(
             self.flash, self.slc_alloc, self._make_slc_policy(),
             self._relocate_slc_page, self.ecc, config.cache, wear=self.slc_wear,
+            finish=self.gc_finish,
         )
         self.mlc_gc = GarbageCollector(
             self.flash, self.mlc_alloc, self._make_mlc_policy(),
             self._relocate_mlc_page, self.ecc, config.cache, wear=self.mlc_wear,
+            finish=self.gc_finish,
         )
 
         self._subpage_bits = self.geometry.subpage_size * 8
@@ -126,11 +144,17 @@ class BaseFTL(abc.ABC):
         #: fault injection.
         self.faults: "FaultPlan | None" = None
 
-    # -- scheme hooks -----------------------------------------------------
+    # -- mapping ------------------------------------------------------------
 
-    @abc.abstractmethod
     def lookup(self, lsn: Lsn) -> PPA | None:
         """Current physical location of ``lsn`` (None if never written)."""
+        return self.subpage_map.lookup(lsn)
+
+    def iter_bindings(self):
+        """Yield ``(lsn, PPA)`` for every live logical subpage."""
+        yield from self.subpage_map.items()
+
+    # -- scheme hooks -----------------------------------------------------
 
     @abc.abstractmethod
     def write(self, lsns: list[Lsn], now: Ms) -> list[OpRecord]:
@@ -342,16 +366,21 @@ class BaseFTL(abc.ABC):
 
     # -- allocation helpers -----------------------------------------------------
 
-    def alloc_slc_page(self, level: BlockLevel, now: Ms,
-                       ops: list[OpRecord] | None = None) -> tuple[Block, int] | None:
-        """SLC page at ``level``, or None when the cache has no room.
+    def _host_page(self, level: BlockLevel, now: Ms,
+                   ops: list[OpRecord]) -> tuple[Block, int]:
+        """Host landing page: SLC at ``level``, else high-density.
 
-        Deliberately does *not* collect garbage inline: foreground GC is
-        bounded and runs per request, so a dry pool means the cache is
-        under pressure and the write belongs in the high-density region.
-        The ``ops`` parameter is kept for signature stability.
+        Deliberately does *not* collect SLC garbage inline: foreground GC
+        is bounded and runs per request, so a dry pool means the cache is
+        under pressure and the write belongs in the high-density region
+        (counted as one ``slc_overflow_chunks``).
         """
-        return self.slc_alloc.alloc_page(int(level), now)
+        res = self.slc_alloc.alloc_page(int(level), now)
+        if res is None:
+            block, page = self.alloc_mlc_page(now, ops)
+            self.stats.slc_overflow_chunks += 1
+            return block, page
+        return res
 
     def alloc_mlc_page(self, now: Ms, ops: list[OpRecord] | None = None,
                        required: bool = True,
@@ -383,6 +412,46 @@ class BaseFTL(abc.ABC):
                 f"{self.scheme_name}: high-density region exhausted")
         return res
 
+    # -- write placement ---------------------------------------------------------
+
+    def _retire(self, lsns: list[Lsn], mappings: list[PPA | None]) -> None:
+        """Unbind ``lsns`` and invalidate their old versions.
+
+        ``mappings`` holds each LSN's current location (None where
+        unmapped).  Old versions of one chunk usually share a physical
+        page, so they are invalidated per page, not per slot.
+        """
+        unbind = self.subpage_map.unbind
+        stale: dict[tuple[int, int], list[int]] = {}
+        for lsn, ppa in zip(lsns, mappings):
+            if ppa is not None:
+                stale.setdefault((ppa.block, ppa.page), []).append(ppa.slot)
+                unbind(lsn)
+        invalidate_many = self.flash.invalidate_many
+        for (block_id, page), slots in stale.items():
+            invalidate_many(block_id, page, slots)
+
+    def _land(self, block: Block, page: int, slots: list[int],
+              lsns: list[Lsn], now: Ms, cause: Cause) -> OpRecord:
+        """Program ``lsns`` into ``slots`` of a page and bind them there.
+
+        Each LSN is bound at the page the data really landed on, which
+        differs from the target when a program failure remapped the
+        pulse (same slot indices).  A host write also counts one chunk at
+        its landing block's level.
+        """
+        op = self.program_subpages(block, page, slots, lsns, now, cause)
+        block_id = op.block_id
+        page = op.page
+        bind = self.subpage_map.bind
+        make = PPA._make  # skips the NamedTuple __new__ frame
+        for lsn, slot in zip(lsns, slots):
+            bind(lsn, make((block_id, page, slot)))
+        if cause is Cause.HOST:
+            level = self.flash.blocks[block_id].level
+            self.stats.note_level_write(level if level is not None else 0)
+        return op
+
     # -- programming helper ----------------------------------------------------
 
     def program_subpages(self, block: Block, page: int, slots: list[int],
@@ -395,9 +464,8 @@ class BaseFTL(abc.ABC):
 
         With a fault plan attached the pulse may fail: the data is then
         remapped to a fresh page (same slot indices) and the returned
-        record carries the *actual* destination — callers re-bind their
-        mapping from ``op.block_id``/``op.page`` when they differ from
-        the requested target.
+        record carries the *actual* destination, which :meth:`_land`
+        binds.
         """
         faults = self.faults
         if faults is not None and faults.program_fails():
@@ -520,11 +588,10 @@ class BaseFTL(abc.ABC):
         relocate = (self._relocate_slc_page if block.is_slc
                     else self._relocate_mlc_page)
         ops = list(relocate(block, page, valid, lsns, now, Cause.FAULT))
-        # MGA buffers SLC relocations until a GC finish hook would flush
+        # MGA buffers relocations until the GC finish hook would flush
         # them; a fault reclaim must complete immediately.
-        gc = self.slc_gc if block.is_slc else self.mlc_gc
-        if gc.finish is not None:
-            ops.extend(gc.finish(now, Cause.FAULT))
+        if self.gc_finish is not None:
+            ops.extend(self.gc_finish(now, Cause.FAULT))
         faults = self.faults
         if faults is not None:
             faults.stats.fault_relocations += 1
@@ -578,7 +645,3 @@ class BaseFTL(abc.ABC):
         self.flash.verify_region_counters()
         self.slc_alloc.victim_index.verify()
         self.mlc_alloc.victim_index.verify()
-
-    @abc.abstractmethod
-    def iter_bindings(self):
-        """Yield ``(lsn, PPA)`` for every live logical subpage."""

@@ -30,14 +30,12 @@ from __future__ import annotations
 import math
 
 from ..config import SSDConfig
-from ..nand.block import Block
+from ..nand.block import Block, BlockState
 from ..nand.flash import FlashArray
-from ..nand.geometry import PPA
 from ..sim.ops import Cause, OpKind, OpRecord
 from .base import BaseFTL
 from .levels import BlockLevel
 from ..units import Lsn, Ms
-from .mapping import SubpageMap
 
 #: Sentinel stored in slots holding packed delta bytes.
 DELTA_LSN: int = -2
@@ -54,18 +52,9 @@ class DeltaFTL(BaseFTL):
         if not 0.0 < delta_ratio <= 1.0:
             raise ValueError(f"delta_ratio must lie in (0, 1], got {delta_ratio}")
         super().__init__(config, flash)
-        self.subpage_map = SubpageMap()
         self.delta_ratio = delta_ratio
         #: (block_id, page) -> (delta_bytes_used, delta_slots, chain_len)
         self._delta_state: dict[tuple[int, int], tuple[int, int, int]] = {}
-
-    # -- mapping -----------------------------------------------------------
-
-    def lookup(self, lsn: Lsn) -> PPA | None:
-        return self.subpage_map.lookup(lsn)
-
-    def iter_bindings(self):
-        yield from self.subpage_map.items()
 
     def chain_length(self, lsn: Lsn) -> int:
         """Deltas stacked on ``lsn``'s page (0 = original only)."""
@@ -94,9 +83,8 @@ class DeltaFTL(BaseFTL):
         if any((m.block, m.page) != (first.block, first.page) for m in mappings[1:]):
             return False
         block = self.flash.block(first.block)
-        if not block.mode.is_slc:
+        if not block.is_slc:
             return False
-        from ..nand.block import BlockState
         if block.state not in (BlockState.OPEN, BlockState.FULL):
             return False
         page = first.page
@@ -135,9 +123,8 @@ class DeltaFTL(BaseFTL):
             n_slots=max(1, len(new_slots)), is_slc=True, cause=Cause.HOST,
             transfer_slots=max(1, math.ceil(delta_bytes / subpage)),
         ))
-        if block.mode.is_slc:
-            self.stats.host_programs_slc += 1
-            self.stats.host_subpages_slc += max(1, len(new_slots))
+        self.stats.host_programs_slc += 1
+        self.stats.host_subpages_slc += max(1, len(new_slots))
         self.stats.intra_page_updates += 1  # in-page service, delta-style
         self.stats.update_writes += 1
         level = block.level if block.level is not None else 0
@@ -151,24 +138,13 @@ class DeltaFTL(BaseFTL):
             self.stats.update_writes += 1
         else:
             self.stats.new_data_writes += 1
-        for lsn, m in zip(chunk, mappings):
+        for m in mappings:
             if m is not None:
-                self.flash.invalidate(m.block, m.page, m.slot)
-                self.subpage_map.unbind(lsn)
                 self._delta_state.pop((m.block, m.page), None)
-
-        res = self.alloc_slc_page(BlockLevel.WORK, now, ops)
-        if res is None:
-            res = self.alloc_mlc_page(now, ops)
-            self.stats.slc_overflow_chunks += 1
-        block, page = res
-        slots = list(range(len(chunk)))
-        ops.append(self.program_subpages(block, page, slots, chunk, now,
-                                         Cause.HOST))
-        for lsn, slot in zip(chunk, slots):
-            self.subpage_map.bind(lsn, PPA(block.block_id, page, slot))
-        level = block.level if block.level is not None else 0
-        self.stats.note_level_write(level)
+        self._retire(chunk, mappings)
+        block, page = self._host_page(BlockLevel.WORK, now, ops)
+        ops.append(self._land(block, page, list(range(len(chunk))), chunk,
+                              now, Cause.HOST))
         return ops
 
     # -- read path (originals + deltas) ----------------------------------------
@@ -198,39 +174,23 @@ class DeltaFTL(BaseFTL):
     # -- GC movement: consolidation -----------------------------------------------
 
     def _relocate_page(self, victim: Block, page: int, slots: list[int],
-                       lsns: list[Lsn], now: Ms, cause: Cause,
-                       to_mlc: bool) -> list[OpRecord]:
-        """Move consolidated data (deltas applied) to a fresh page."""
+                       lsns: list[Lsn], now: Ms, cause: Cause) -> list[OpRecord]:
+        """Move consolidated data (deltas applied) to a fresh MLC page.
+
+        Delta slots are invalidated as soon as they are programmed, so a
+        victim page's valid slots hold original data only.
+        """
         ops: list[OpRecord] = []
-        real = [(s, l) for s, l in zip(slots, lsns) if l != DELTA_LSN]
-        for s in slots:
-            self.flash.invalidate(victim.block_id, page, s)
+        self.flash.invalidate_many(victim.block_id, page, slots)
         self._delta_state.pop((victim.block_id, page), None)
-        if not real:
-            return ops
-        if to_mlc:
-            block, npage = self.alloc_mlc_page(now, ops, for_gc=True)
-        else:
-            res = self.slc_alloc.alloc_page(int(BlockLevel.WORK), now,
-                                            for_gc=True)
-            if res is None:
-                self.stats.evicted_subpages_to_mlc += len(real)
-                block, npage = self.alloc_mlc_page(now, ops, for_gc=True)
-            else:
-                block, npage = res
-        new_slots = list(range(len(real)))
-        ops.append(self.program_subpages(
-            block, npage, new_slots, [l for _, l in real], now, cause))
-        for (old_slot, lsn), slot in zip(real, new_slots):
-            self.subpage_map.bind(lsn, PPA(block.block_id, npage, slot))
+        block, npage = self.alloc_mlc_page(now, ops, for_gc=True)
+        ops.append(self._land(block, npage, list(range(len(lsns))), lsns,
+                              now, cause))
         return ops
 
     def _relocate_slc_page(self, victim, page, slots, lsns, now, cause):
-        self.stats.evicted_subpages_to_mlc += sum(
-            1 for l in lsns if l != DELTA_LSN)
-        return self._relocate_page(victim, page, slots, lsns, now, cause,
-                                   to_mlc=True)
+        self.stats.evicted_subpages_to_mlc += len(slots)
+        return self._relocate_page(victim, page, slots, lsns, now, cause)
 
     def _relocate_mlc_page(self, victim, page, slots, lsns, now, cause):
-        return self._relocate_page(victim, page, slots, lsns, now, cause,
-                                   to_mlc=True)
+        return self._relocate_page(victim, page, slots, lsns, now, cause)

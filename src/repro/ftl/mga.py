@@ -17,13 +17,10 @@ from __future__ import annotations
 from ..config import SSDConfig
 from ..nand.block import Block, BlockState
 from ..nand.flash import FlashArray
-from ..nand.geometry import PPA
 from ..sim.ops import Cause, OpRecord
-from .base import BaseFTL
-from .gc import GarbageCollector
+from .base import SECOND_LEVEL_KEY_BASE, BaseFTL
 from .levels import BlockLevel
 from ..units import Lsn, Ms
-from .mapping import SubpageMap
 from .victim import GreedyVictimPolicy, VictimPolicy
 
 
@@ -35,60 +32,26 @@ class MGAFTL(BaseFTL):
 
     def __init__(self, config: SSDConfig, flash: FlashArray | None = None):
         super().__init__(config, flash)
-        self.subpage_map = SubpageMap()
         #: Current pack target: (block_id, page) accepting more subpages.
         self._pack: tuple[int, int] | None = None
         #: Subpages awaiting eviction packing during GC (list keeps
         #: order, set gives O(1) membership for the write-path check).
         self._evict_buffer: list[int] = []
         self._evict_pending: set[int] = set()
-        # Re-wire the collectors with the pre-erase flush hook.
-        self.slc_gc = GarbageCollector(
-            self.flash, self.slc_alloc, self._make_slc_policy(),
-            self._relocate_slc_page, self.ecc, config.cache,
-            wear=self.slc_wear, finish=self._flush_evictions,
-        )
-        self.mlc_gc = GarbageCollector(
-            self.flash, self.mlc_alloc, self._make_mlc_policy(),
-            self._relocate_mlc_page, self.ecc, config.cache,
-            wear=self.mlc_wear, finish=self._flush_evictions,
-        )
 
     def _make_mlc_policy(self) -> VictimPolicy:
         # MGA repacks evictions compactly, so freed space really is the
         # subpage count: plain greedy is the right metric.
         return GreedyVictimPolicy()
 
-    # -- mapping ---------------------------------------------------------
+    # -- translation -----------------------------------------------------
 
     def translation_keys(self, lsns: list[Lsn]) -> list[int]:
         """MGA pages in second-level subpage entries on top of the
         first-level page map (the translation cost of its packing)."""
-        from .base import SECOND_LEVEL_KEY_BASE
         keys = super().translation_keys(lsns)
         keys.extend(SECOND_LEVEL_KEY_BASE + lsn for lsn in lsns)
         return keys
-
-    def lookup(self, lsn: Lsn) -> PPA | None:
-        return self.subpage_map.lookup(lsn)
-
-    def iter_bindings(self):
-        yield from self.subpage_map.items()
-
-    def _invalidate_lsn(self, lsn: Lsn) -> None:
-        ppa = self.subpage_map.lookup(lsn)
-        if ppa is None:
-            return
-        if lsn in self._evict_pending:
-            # The subpage sits in the eviction buffer of a partially
-            # drained victim; the incoming write obsoletes it, so it must
-            # not be flushed (that would resurrect stale data).
-            self._evict_pending.discard(lsn)
-            self._evict_buffer.remove(lsn)
-            self.subpage_map.unbind(lsn)
-            return
-        self.flash.invalidate(ppa.block, ppa.page, ppa.slot)
-        self.subpage_map.unbind(lsn)
 
     # -- pack cursor -------------------------------------------------------
 
@@ -118,69 +81,53 @@ class MGAFTL(BaseFTL):
             self.stats.update_writes += 1
         else:
             self.stats.new_data_writes += 1
-        for lsn in lsns:
-            self._invalidate_lsn(lsn)
+        pending = self._evict_pending
+        if pending:
+            for lsn in lsns:
+                if lsn in pending:
+                    # The subpage sits in the eviction buffer of a
+                    # partially drained victim (its slot is already
+                    # invalid); the incoming write obsoletes it, so it
+                    # must not be flushed (that would resurrect stale
+                    # data).
+                    pending.discard(lsn)
+                    self._evict_buffer.remove(lsn)
+                    self.subpage_map.unbind(lsn)
+        self._retire(lsns, [lookup(lsn) for lsn in lsns])
 
+        spp = self.geometry.subpages_per_page
+        max_pp = self.config.reliability.max_page_programs
+        blocks = self.flash.blocks
+        spilled = False
         remaining = list(lsns)
         while remaining:
             cap = self._pack_capacity()
-            if cap is None:
-                res = self.alloc_slc_page(BlockLevel.WORK, now, ops)
-                if res is None:
-                    # Cache exhausted even after GC: spill to high-density.
-                    ops.extend(self._write_mlc_chunk(remaining, now))
-                    self.stats.slc_overflow_chunks += 1
-                    return ops
-                block, page = res
-                self._pack = (block.block_id, page)
-                free = list(range(self.geometry.subpages_per_page))
-            else:
+            if cap is not None:
                 block, page, free = cap
+            else:
+                if spilled:
+                    block, page = self.alloc_mlc_page(now, ops)
+                else:
+                    # A dry cache spills the rest of the request to
+                    # fully-packed high-density pages.
+                    block, page = self._host_page(BlockLevel.WORK, now, ops)
+                    spilled = not block.is_slc
+                free = list(range(spp))
 
             take = min(len(free), len(remaining))
             chunk, remaining = remaining[:take], remaining[take:]
-            slots = free[:take]
-            op = self.program_subpages(block, page, slots, chunk,
-                                       now, Cause.HOST)
+            op = self._land(block, page, free[:take], chunk, now, Cause.HOST)
             ops.append(op)
-            if op.block_id != block.block_id or op.page != page:
-                # Program failure remapped the pulse (same slot indices);
-                # pack state below re-derives from the actual target.
-                block = self.flash.block(op.block_id)
-                page = op.page
-            for lsn, slot in zip(chunk, slots):
-                self.subpage_map.bind(lsn, PPA(block.block_id, page, slot))
-            level = block.level if block.level is not None else 0
-            self.stats.note_level_write(level)
-            if not block.is_slc:
-                # Remap spilled to the high-density region: packing (a
-                # partial-programming feature) cannot continue there.
-                self._pack = None
-            elif block.page_programmed[page] == block.spp or (
-                    block.pass_counts[page]
-                    >= self.config.reliability.max_page_programs):
+            # Pack state follows the actual target of a remapped pulse.
+            block = blocks[op.block_id]
+            page = op.page
+            if (not block.is_slc or block.page_programmed[page] == block.spp
+                    or block.pass_counts[page] >= max_pp):
+                # Packing (a partial-programming feature) cannot continue
+                # in the high-density region or on a closed page.
                 self._pack = None
             else:
                 self._pack = (block.block_id, page)
-        return ops
-
-    def _write_mlc_chunk(self, lsns: list[Lsn], now: Ms) -> list[OpRecord]:
-        """Spill a host chunk straight to the high-density region."""
-        ops: list[OpRecord] = []
-        spp = self.geometry.subpages_per_page
-        for i in range(0, len(lsns), spp):
-            group = lsns[i:i + spp]
-            block, page = self.alloc_mlc_page(now, ops)
-            slots = list(range(len(group)))
-            op = self.program_subpages(block, page, slots, group,
-                                       now, Cause.HOST)
-            ops.append(op)
-            if op.block_id != block.block_id or op.page != page:
-                block = self.flash.block(op.block_id)
-                page = op.page
-            for lsn, slot in zip(group, slots):
-                self.subpage_map.bind(lsn, PPA(block.block_id, page, slot))
-            self.stats.note_level_write(int(BlockLevel.HIGH_DENSITY))
         return ops
 
     # -- GC movement -------------------------------------------------------------
@@ -200,21 +147,16 @@ class MGAFTL(BaseFTL):
     def _relocate_mlc_page(self, victim, page, slots, lsns, now, cause):
         return self._relocate_any(victim, page, slots, lsns, now, cause)
 
-    def _flush_evictions(self, now: Ms, cause: Cause) -> list[OpRecord]:
-        """Program buffered evictions into fully-packed MLC pages."""
+    def gc_finish(self, now: Ms, cause: Cause) -> list[OpRecord]:
+        """Program buffered evictions into fully-packed MLC pages (the
+        collectors' pre-erase hook, also run after a fault reclaim)."""
         ops: list[OpRecord] = []
         spp = self.geometry.subpages_per_page
         while self._evict_buffer:
             group = self._evict_buffer[:spp]
             del self._evict_buffer[:spp]
             block, page = self.alloc_mlc_page(now, ops, for_gc=True)
-            slots = list(range(len(group)))
-            op = self.program_subpages(block, page, slots, group, now, cause)
-            ops.append(op)
-            if op.block_id != block.block_id or op.page != page:
-                block = self.flash.block(op.block_id)
-                page = op.page
-            for lsn, slot in zip(group, slots):
-                self._evict_pending.discard(lsn)
-                self.subpage_map.bind(lsn, PPA(block.block_id, page, slot))
+            ops.append(self._land(block, page, list(range(len(group))), group,
+                                  now, cause))
+            self._evict_pending.difference_update(group)
         return ops

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from ..errors import (
     EraseError,
     PartialProgramLimitError,
@@ -703,15 +705,16 @@ class Block:
             raise SubpageStateError(
                 f"block {self.block_id}: pass_counts mirror drifted from "
                 f"the program_count array")
-        for page in range(self.pages):
-            prow = int(sum(1 << s for s in range(self.spp)
-                           if self.programmed[page, s]))
-            vrow = int(sum(1 << s for s in range(self.spp)
-                           if self.valid[page, s]))
-            if self.prog_mask[page] != prow or self.valid_mask[page] != vrow:
-                raise SubpageStateError(
-                    f"block {self.block_id} page {page}: slot bitmasks "
-                    f"drifted from the programmed/valid arrays")
+        bits = 1 << np.arange(self.spp, dtype=np.int64)
+        prows = (self.programmed @ bits).tolist()
+        vrows = (self.valid @ bits).tolist()
+        if self.prog_mask != prows or self.valid_mask != vrows:
+            page = next(p for p in range(self.pages)
+                        if self.prog_mask[p] != prows[p]
+                        or self.valid_mask[p] != vrows[p])
+            raise SubpageStateError(
+                f"block {self.block_id} page {page}: slot bitmasks "
+                f"drifted from the programmed/valid arrays")
         n_valid = int(self.valid.sum())
         n_programmed = int(self.programmed.sum())
         if (self.n_valid != n_valid or self.n_programmed != n_programmed

@@ -32,6 +32,11 @@ from repro.traces.synth import generate
 from conftest import tiny_config
 
 SCHEMES = ("baseline", "mga", "ipu")
+ALL_SCHEMES = SCHEMES + ("delta",)
+
+#: Logical space of the remap consistency test: small enough that writes
+#: revisit addresses (in-page updates, delta appends, GC) on the tiny device.
+REMAP_LSN_SPACE = 1024
 
 #: Short cells keep full-simulation tests affordable.
 FAST = dict(scale="smoke", seed=7, length_factor=0.25)
@@ -288,6 +293,29 @@ class TestFaultIntegration:
         for block in ftl.flash.blocks:
             if block.state is BlockState.RETIRED:
                 assert not any(block.valid.flat)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_program_remaps_keep_mapping_consistent(self, scheme):
+        """Every program site binds the page a failed pulse remapped to.
+
+        Checked after each write rather than at the end: a binding to
+        the failed page is invalid at once but can be overwritten later.
+        MGA's buffered evictions stay bound to their invalidated victim
+        slots until the drain ends, so the check waits until neither
+        collector is draining.
+        """
+        ftl = build_ftl(scheme)
+        attach_faults(ftl, FaultConfig(program_fault_rate=0.2), seed=3)
+        rng = make_rng(3, "test:remap")
+        now = 0.0
+        for _ in range(3000):
+            start = int(rng.integers(0, REMAP_LSN_SPACE))
+            ftl.handle_write(list(range(start, start + int(rng.integers(1, 5)))),
+                             now)
+            now += 0.25
+            if not (ftl.slc_gc.draining or ftl.mlc_gc.draining):
+                ftl.check_consistency()
+        assert ftl.faults.stats.program_failures > 0
 
     def test_same_seed_same_faults(self):
         outcomes = []

@@ -11,6 +11,13 @@ The grid covers smoke scale on ``ts0`` (write-heavy) and ``lun2``
 loop at QD 1 and 8, and the front-end at QD 1, 8 and 32, each with the
 serial and the pipelined bus model.
 
+Two further groups pin the FTL write paths rather than the pricing:
+``mga`` and ``delta`` under the open loop, closed QD 8 and front-end
+QD 8 on the serial bus, and ``baseline``, ``mga`` and ``ipu`` under the
+open loop with a fault plan attached (``open+faults``).  Program
+failures there remap writes at every program site, and the inflated
+read-fault scale triggers fault reclaim.
+
 Re-record (only for a change that is meant to move results, together
 with a ``CACHE_SCHEMA_VERSION`` bump)::
 
@@ -30,6 +37,7 @@ import pytest
 
 from repro import SCHEMES, Simulator
 from repro.experiments.runner import RunContext
+from repro.faults import FaultConfig, attach_faults
 from repro.frontend import FrontendConfig
 from repro.frontend.simulate import FrontendSimulator
 
@@ -41,9 +49,17 @@ DRIVERS = ("open", "closed-qd1", "closed-qd8",
            "frontend-qd1", "frontend-qd8", "frontend-qd32")
 BUSES = ("serial", "pipelined")
 
+#: Fault plan of the ``open+faults`` cells.
+FAULTS = FaultConfig(program_fault_rate=0.01, read_fault_scale=1e6)
+
 CELLS = [f"{trace}/{scheme}/{driver}/{bus}"
          for trace in TRACES for scheme in SCHEME_NAMES
          for driver in DRIVERS for bus in BUSES]
+CELLS += [f"{trace}/{scheme}/{driver}/serial"
+          for trace in TRACES for scheme in ("mga", "delta")
+          for driver in ("open", "closed-qd8", "frontend-qd8")]
+CELLS += [f"{trace}/{scheme}/open+faults/serial"
+          for trace in TRACES for scheme in ("baseline", "mga", "ipu")]
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,7 +77,9 @@ def cell_digest(cell: str) -> str:
         cfg = dataclasses.replace(
             cfg, timing=dataclasses.replace(cfg.timing, pipelined_bus=True))
     ftl = SCHEMES[scheme](cfg)
-    kind, _, qd = driver.partition("-qd")
+    if driver.endswith("+faults"):
+        attach_faults(ftl, FAULTS, seed=SEED)
+    kind, _, qd = driver.removesuffix("+faults").partition("-qd")
     if kind == "open":
         result = Simulator(ftl, cfg).run(trace)
     elif kind == "closed":
