@@ -24,6 +24,11 @@ from typing import NamedTuple
 from ..nand.block import Block, BlockState
 from ..nand.geometry import PPA
 
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+_OPEN = BlockState.OPEN
+_FULL = BlockState.FULL
+
 
 class IntraPagePlan(NamedTuple):
     """A feasible in-page update: where the new version will go."""
@@ -63,7 +68,8 @@ def plan_intra_page_update(
     block: Block = get_block(fblock)
     if not block.is_slc:
         return None
-    if block.state not in (BlockState.OPEN, BlockState.FULL):
+    state = block.state
+    if state is not _OPEN and state is not _FULL:
         return None
     if block.pass_counts[fpage] >= max_page_programs:
         return None

@@ -22,10 +22,15 @@ from ..nand.block import Block
 from ..nand.geometry import PPA
 from ..sim.ops import Cause, OpRecord
 from ..ftl.base import BaseFTL
-from ..ftl.levels import BlockLevel
+from ..ftl.levels import DEMOTED, PROMOTED, BlockLevel
 from ..units import Lsn, Ms
 from ..ftl.victim import IsrVictimPolicy, VictimPolicy
 from .intra_page import plan_intra_page_update
+
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+_HOST = Cause.HOST
+_WORK = BlockLevel.WORK
 
 
 class IPUFTL(BaseFTL):
@@ -39,7 +44,7 @@ class IPUFTL(BaseFTL):
 
     def _promotion_target(self, current_level: int) -> BlockLevel:
         """Level an overflowing update moves to (hook for ablations)."""
-        return BlockLevel(current_level).promoted()
+        return PROMOTED[current_level]
 
     # -- write path -------------------------------------------------------------
 
@@ -68,7 +73,7 @@ class IPUFTL(BaseFTL):
         # inside the page.
         self._retire(chunk, mappings)
         op = self._land(self.flash.blocks[plan.block_id], plan.page,
-                        list(plan.target_slots), chunk, now, Cause.HOST)
+                        list(plan.target_slots), chunk, now, _HOST)
         # A program failure may have remapped the update out of place;
         # the hotness mark belongs to the actual destination.
         self.flash.blocks[op.block_id].mark_page_updated(op.page)
@@ -89,25 +94,25 @@ class IPUFTL(BaseFTL):
             self.stats.upgrade_moves += 1
         else:
             self.stats.new_data_writes += 1
-            target = BlockLevel.WORK
+            target = _WORK
 
         self._retire(chunk, mappings)
         block, page = self._host_page(target, now, ops)
         ops.append(self._land(block, page, list(range(len(chunk))), chunk,
-                              now, Cause.HOST))
+                              now, _HOST))
         return ops
 
     # -- GC movement (degraded data movement, lines 14-19) -----------------------------
 
     def _relocate_slc_page(self, victim: Block, page: int, slots: list[int],
                            lsns: list[Lsn], now: Ms, cause: Cause) -> list[OpRecord]:
-        updated = bool(victim.page_updated[page])
-        level = BlockLevel(victim.level if victim.level is not None else
-                           int(BlockLevel.WORK))
-        target = level if updated else level.demoted()
+        level = victim.level
+        if level is None:
+            level = _WORK
+        target = level if victim.page_updated[page] else DEMOTED[level]
         ops: list[OpRecord] = []
 
-        if target.is_slc:
+        if target:  # an SLC level (BlockLevel.is_slc)
             # Same-level (hot) or one-level-down (cold) SLC destination.
             # No recursive GC here: if the pool is dry the data falls
             # through to the high-density region.

@@ -169,7 +169,9 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, separators=(",", ":"))
+                # ``dumps`` runs the C encoder; ``json.dump`` to a file
+                # always takes the pure-Python ``_iterencode``.  Same bytes.
+                fh.write(json.dumps(payload, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -16,14 +16,22 @@ the host and the FTL:
 * reads are split into buffer **hits** (served from DRAM) and misses
   (forwarded to the FTL).
 
-Determinism contract: the buffer holds one insertion-ordered ``dict``
+Determinism contract: the buffer holds one insertion-ordered mapping
 and nothing hash-ordered ever feeds an outcome.  Re-inserting on
-overwrite keeps the dict ordered by dirty-age, so "oldest first" is the
-head of the dict and every eviction decision is reproducible.
+overwrite keeps it ordered by dirty-age, so "oldest first" is the head
+of the mapping and every eviction decision is reproducible.
+
+The mapping is a :class:`collections.OrderedDict`: finding the head of a
+plain ``dict`` walks past every slot deleted since its last resize, so
+each eviction cost O(capacity) at large ``buffer_subpages``; the
+ordered dict's linked list finds it in O(1), in the same order.  The
+buffer only uses operations both types share, so a checkpoint pickled
+while the buffer held a plain ``dict`` resumes unchanged.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .config import FrontendConfig
@@ -58,7 +66,7 @@ class WriteBuffer:
         self.span_limit: SubpageCount = config.flush_span_subpages
         self.stats = BufferStats()
         #: Dirty subpages, ordered oldest-first (overwrites re-insert).
-        self._entries: dict[Lsn, Ms] = {}
+        self._entries: OrderedDict[Lsn, Ms] = OrderedDict()
 
     @property
     def occupancy(self) -> SubpageCount:
@@ -111,7 +119,7 @@ class WriteBuffer:
     def expire(self, now: Ms) -> "list[list[Lsn]]":
         """Spans whose head entry has been dirty past the writeback delay.
 
-        The dict is ordered oldest-first, so the sweep stops at the first
+        The buffer is ordered oldest-first, so the sweep stops at the first
         entry still inside its delay window.  Coalesced neighbours may be
         younger — riding along is the point of coalescing.
         """

@@ -30,6 +30,11 @@ from ..units import Ms
 #: always needs landing room, or a nearly-full region deadlocks.
 GC_RESERVE_BLOCKS = 2
 
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+_FREE = BlockState.FREE
+_OPEN = BlockState.OPEN
+
 
 class VictimIndex:
     """Incremental GC-candidate index for one region.
@@ -225,7 +230,7 @@ class RegionAllocator:
     def release(self, block_id: int) -> None:
         """Return an erased block to its plane's free pool."""
         block = self.flash.block(block_id)
-        if block.state is not BlockState.FREE:
+        if block.state is not _FREE:
             raise AllocationError(
                 f"region {self.name}: releasing non-free block {block_id} "
                 f"({block.state.value})")
@@ -241,7 +246,7 @@ class RegionAllocator:
             while heap:
                 _, block_id = heapq.heappop(heap)
                 block = self.flash.block(block_id)
-                if block.state is BlockState.FREE:
+                if block.state is _FREE:
                     block.open_as(level, now)
                     self._free_count -= 1
                     return block
@@ -269,8 +274,8 @@ class RegionAllocator:
         # as a GC victim, erased, released — or even reopened under
         # another level.  Only an OPEN, non-full block labelled for this
         # level is programmable here.
-        if (block is None or block.state is not BlockState.OPEN
-                or block.is_full or block.level != level):
+        if (block is None or block.state is not _OPEN
+                or block.next_page >= block.pages or block.level != level):
             if not for_gc and self._free_count <= GC_RESERVE_BLOCKS:
                 return None
             block = self._pop_free(stripe, level, now)

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from ..config import SSDConfig
 from ..error import EccModel
-from ..errors import OutOfSpaceError
+from ..errors import MappingError, OutOfSpaceError
 from ..nand.block import Block
 from ..nand.flash import FlashArray
 from ..nand.geometry import PPA
@@ -54,6 +54,17 @@ if TYPE_CHECKING:
 #: Key-space offset separating second-level translation entries from the
 #: first-level (page map) entries in the cached mapping table.
 SECOND_LEVEL_KEY_BASE = 1 << 40
+
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+_HOST = Cause.HOST
+_TRANSLATION = Cause.TRANSLATION
+_READ = OpKind.READ
+_PROGRAM = OpKind.PROGRAM
+_HIGH_DENSITY = int(BlockLevel.HIGH_DENSITY)
+#: ``PPA`` construction without the ``NamedTuple.__new__``/``_make``
+#: frames: ``_new_tuple(PPA, (block, page, slot))``.
+_new_tuple = tuple.__new__
 
 
 @dataclass
@@ -230,8 +241,9 @@ class BaseFTL(abc.ABC):
             gc_ops.extend(gc.maybe_collect(now))
         groups: dict[tuple[int, int], list[int]] = {}
         pseudo: list[int] = []
+        lookup = self.subpage_map.lookup
         for lsn in lsns:
-            ppa = self.lookup(lsn)
+            ppa = lookup(lsn)
             if ppa is None:
                 pseudo.append(lsn)
             else:
@@ -252,8 +264,8 @@ class BaseFTL(abc.ABC):
             # Positional construction: keyword binding on the record
             # costs ~40% of the constructor on this path.
             ops.append(OpRecord(
-                OpKind.READ, block_id, page, len(slots), block.is_slc,
-                Cause.HOST, 0, self.ecc.decode_ms_list(values),
+                _READ, block_id, page, len(slots), block.is_slc,
+                _HOST, 0, self.ecc.decode_ms_list(values),
                 sum(values) * self._subpage_bits,
             ))
             if faults is not None:
@@ -265,9 +277,9 @@ class BaseFTL(abc.ABC):
                     # degradation campaigns measure).
                     retry_values = flash.read_list(block_id, page, slots, now)
                     ops.append(OpRecord(
-                        kind=OpKind.READ, block_id=block_id, page=page,
+                        kind=_READ, block_id=block_id, page=page,
                         n_slots=len(slots), is_slc=block.is_slc,
-                        cause=Cause.HOST,
+                        cause=_HOST,
                         ecc_ms=self.ecc.decode_ms_list(retry_values),
                         raw_errors=sum(retry_values) * self._subpage_bits,
                     ))
@@ -279,7 +291,8 @@ class BaseFTL(abc.ABC):
         for block_id, page in reclaims:
             ops.extend(self._fault_reclaim_page(
                 self.flash.block(block_id), page, now))
-        ops.extend(self._pseudo_reads(pseudo))
+        if pseudo:
+            ops.extend(self._pseudo_reads(pseudo))
         ops.extend(gc_ops)
         if faults is not None and faults.pending:
             ops.extend(faults.drain_ops())
@@ -310,12 +323,12 @@ class BaseFTL(abc.ABC):
                 self.cmt.page_of(key) % n_mlc]
             if writeback:
                 ops.append(OpRecord(
-                    kind=OpKind.PROGRAM, block_id=block_id, page=0,
-                    n_slots=spp, is_slc=False, cause=Cause.TRANSLATION))
+                    kind=_PROGRAM, block_id=block_id, page=0,
+                    n_slots=spp, is_slc=False, cause=_TRANSLATION))
             if miss:
                 ops.append(OpRecord(
-                    kind=OpKind.READ, block_id=block_id, page=0,
-                    n_slots=spp, is_slc=False, cause=Cause.TRANSLATION,
+                    kind=_READ, block_id=block_id, page=0,
+                    n_slots=spp, is_slc=False, cause=_TRANSLATION,
                     ecc_ms=self._pseudo_ecc_ms))
         return ops
 
@@ -336,8 +349,8 @@ class BaseFTL(abc.ABC):
         for lpn, count in by_lpn.items():
             block_id = self.flash.mlc_block_ids[lpn % len(self.flash.mlc_block_ids)]
             ops.append(OpRecord(
-                kind=OpKind.READ, block_id=block_id, page=0,
-                n_slots=count, is_slc=False, cause=Cause.HOST,
+                kind=_READ, block_id=block_id, page=0,
+                n_slots=count, is_slc=False, cause=_HOST,
                 ecc_ms=self._pseudo_ecc_ms,
                 raw_errors=self._pseudo_rber * count * self._subpage_bits,
             ))
@@ -391,7 +404,7 @@ class BaseFTL(abc.ABC):
         region is force-collected in full (the host pays the blocking
         cost, as on a real device running near-full).
         """
-        level = int(BlockLevel.HIGH_DENSITY)
+        level = _HIGH_DENSITY
         res = self.mlc_alloc.alloc_page(level, now, for_gc=for_gc)
         if res is None:
             emergency = self.mlc_gc.collect_emergency(now)
@@ -421,12 +434,15 @@ class BaseFTL(abc.ABC):
         unmapped).  Old versions of one chunk usually share a physical
         page, so they are invalidated per page, not per slot.
         """
-        unbind = self.subpage_map.unbind
+        table = self.subpage_map._map  # SubpageMap.unbind, inlined
         stale: dict[tuple[int, int], list[int]] = {}
         for lsn, ppa in zip(lsns, mappings):
             if ppa is not None:
                 stale.setdefault((ppa.block, ppa.page), []).append(ppa.slot)
-                unbind(lsn)
+                try:
+                    del table[lsn]
+                except KeyError:
+                    raise MappingError(f"LSN {lsn} not mapped") from None
         invalidate_many = self.flash.invalidate_many
         for (block_id, page), slots in stale.items():
             invalidate_many(block_id, page, slots)
@@ -443,11 +459,12 @@ class BaseFTL(abc.ABC):
         op = self.program_subpages(block, page, slots, lsns, now, cause)
         block_id = op.block_id
         page = op.page
-        bind = self.subpage_map.bind
-        make = PPA._make  # skips the NamedTuple __new__ frame
+        table = self.subpage_map._map  # SubpageMap.bind, inlined
         for lsn, slot in zip(lsns, slots):
-            bind(lsn, make((block_id, page, slot)))
-        if cause is Cause.HOST:
+            if lsn < 0:
+                raise MappingError(f"negative LSN {lsn}")
+            table[lsn] = _new_tuple(PPA, (block_id, page, slot))
+        if cause is _HOST:
             level = self.flash.blocks[block_id].level
             self.stats.note_level_write(level if level is not None else 0)
         return op
@@ -482,7 +499,7 @@ class BaseFTL(abc.ABC):
             flash.programs_slc += 1
         else:
             flash.programs_mlc += 1
-        if cause is Cause.HOST:
+        if cause is _HOST:
             if slc:
                 self.stats.host_programs_slc += 1
                 self.stats.host_subpages_slc += len(slots)
@@ -501,7 +518,7 @@ class BaseFTL(abc.ABC):
         # transfers only the written subpages (Figure 1).
         transfer = (len(slots) if self.uses_partial_programming
                     else self.geometry.subpages_per_page)
-        return OpRecord(OpKind.PROGRAM, block.block_id, page,
+        return OpRecord(_PROGRAM, block.block_id, page,
                         len(slots), slc, cause, transfer)
 
     # -- fault handling ----------------------------------------------------

@@ -28,6 +28,12 @@ from .base import BaseFTL
 from .levels import BlockLevel
 from ..units import Lpn, Lsn, Ms
 
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+_HOST = Cause.HOST
+_READ = OpKind.READ
+_WORK = BlockLevel.WORK
+
 
 class BaselineFTL(BaseFTL):
     """Default page-mapping FTL (no partial programming)."""
@@ -65,10 +71,10 @@ class BaselineFTL(BaseFTL):
 
             # Allocate before retiring: an emergency MLC collection in
             # the allocation still sees the old versions valid.
-            block, page = self._host_page(BlockLevel.WORK, now, ops)
+            block, page = self._host_page(_WORK, now, ops)
             self._retire(write_lsns, mapped_old)
             ops.append(self._land(block, page, [lsn % spp for lsn in write_lsns],
-                                  write_lsns, now, Cause.HOST))
+                                  write_lsns, now, _HOST))
         return ops
 
     def _collect_siblings(self, lpn: Lpn, chunk: list[int], now: Ms,
@@ -90,10 +96,10 @@ class BaselineFTL(BaseFTL):
             slots.sort()
             values = self.flash.read_list(block_id, page, slots, now)
             ops.append(OpRecord(
-                kind=OpKind.READ, block_id=block_id, page=page,
+                kind=_READ, block_id=block_id, page=page,
                 n_slots=len(slots),
                 is_slc=self.flash.block(block_id).is_slc,
-                cause=Cause.HOST,
+                cause=_HOST,
                 ecc_ms=self.ecc.decode_ms_list(values),
             ))
             self.stats.rmw_read_ops += 1

@@ -40,6 +40,15 @@ from ..units import Lsn, Ms
 #: Sentinel stored in slots holding packed delta bytes.
 DELTA_LSN: int = -2
 
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+_HOST = Cause.HOST
+_READ = OpKind.READ
+_PROGRAM = OpKind.PROGRAM
+_OPEN = BlockState.OPEN
+_FULL = BlockState.FULL
+_WORK = BlockLevel.WORK
+
 
 class DeltaFTL(BaseFTL):
     """In-place delta compression in SLC-mode pages."""
@@ -85,7 +94,8 @@ class DeltaFTL(BaseFTL):
         block = self.flash.block(first.block)
         if not block.is_slc:
             return False
-        if block.state not in (BlockState.OPEN, BlockState.FULL):
+        state = block.state
+        if state is not _OPEN and state is not _FULL:
             return False
         page = first.page
         if block.pass_counts[page] >= self.config.reliability.max_page_programs:
@@ -119,8 +129,8 @@ class DeltaFTL(BaseFTL):
         self._delta_state[(first.block, page)] = (
             used + delta_bytes, delta_slots + len(new_slots), chain + 1)
         ops.append(OpRecord(
-            kind=OpKind.PROGRAM, block_id=first.block, page=page,
-            n_slots=max(1, len(new_slots)), is_slc=True, cause=Cause.HOST,
+            kind=_PROGRAM, block_id=first.block, page=page,
+            n_slots=max(1, len(new_slots)), is_slc=True, cause=_HOST,
             transfer_slots=max(1, math.ceil(delta_bytes / subpage)),
         ))
         self.stats.host_programs_slc += 1
@@ -142,9 +152,9 @@ class DeltaFTL(BaseFTL):
             if m is not None:
                 self._delta_state.pop((m.block, m.page), None)
         self._retire(chunk, mappings)
-        block, page = self._host_page(BlockLevel.WORK, now, ops)
+        block, page = self._host_page(_WORK, now, ops)
         ops.append(self._land(block, page, list(range(len(chunk))), chunk,
-                              now, Cause.HOST))
+                              now, _HOST))
         return ops
 
     # -- read path (originals + deltas) ----------------------------------------
@@ -164,7 +174,7 @@ class DeltaFTL(BaseFTL):
         patched: list[OpRecord] = []
         for op in ops:
             key = (op.block_id, op.page)
-            if (op.kind is OpKind.READ and op.cause is Cause.HOST
+            if (op.kind is _READ and op.cause is _HOST
                     and key in extra):
                 op = op._replace(
                     transfer_slots=op.channel_slots + extra.pop(key))

@@ -37,6 +37,15 @@ RelocateFn = Callable[[Block, int, list[int], list[int], float, Cause], list[OpR
 #: Optional pre-erase hook: flush any relocation buffering before the victim dies.
 FinishFn = Callable[[float, Cause], list[OpRecord]]
 
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+_GC = Cause.GC
+_WEAR = Cause.WEAR
+_READ = OpKind.READ
+_ERASE = OpKind.ERASE
+_FREE = BlockState.FREE
+_FULL = BlockState.FULL
+
 
 @dataclass
 class GcStats:
@@ -216,27 +225,27 @@ class GarbageCollector:
                 span_ecc = self.ecc.decode_ms_many(maxes).tolist()
             for (page, slots, lsns), ecc_ms in zip(spans, span_ecc):
                 ops.append(OpRecord(
-                    OpKind.READ, victim.block_id, page, len(slots),
-                    victim.is_slc, Cause.GC, 0, ecc_ms,
+                    _READ, victim.block_id, page, len(slots),
+                    victim.is_slc, _GC, 0, ecc_ms,
                 ))
-                ops.extend(self.relocate(victim, page, slots, lsns, now, Cause.GC))
+                ops.extend(self.relocate(victim, page, slots, lsns, now, _GC))
                 self.stats.moved_subpages += len(slots)
 
         if self._drain_page >= victim.next_page:
             if self.finish is not None:
-                ops.extend(self.finish(now, Cause.GC))
+                ops.extend(self.finish(now, _GC))
             self.flash.erase(victim.block_id)
             ops.append(OpRecord(
-                kind=OpKind.ERASE,
+                kind=_ERASE,
                 block_id=victim.block_id,
                 page=0,
                 n_slots=0,
                 is_slc=victim.is_slc,
-                cause=Cause.GC,
+                cause=_GC,
             ))
             # A fault plan may retire the block on erase (grown bad block);
             # RETIRED blocks never rejoin the free pool.
-            if victim.state is BlockState.FREE:
+            if victim.state is _FREE:
                 self.allocator.release(victim.block_id)
             if self.wear is not None:
                 self.wear.note_erase()
@@ -289,7 +298,7 @@ class GarbageCollector:
         """
         assert self.wear is not None
         source = self.wear.coldest_block()
-        if source is None or source.state is not BlockState.FULL:
+        if source is None or source.state is not _FULL:
             return []
         ops: list[OpRecord] = []
         source.mark_victim()
@@ -300,22 +309,22 @@ class GarbageCollector:
             lsns = source.slot_lsns(page, slots)
             values = self.flash.read_list(source.block_id, page, slots, now)
             ops.append(OpRecord(
-                kind=OpKind.READ, block_id=source.block_id, page=page,
+                kind=_READ, block_id=source.block_id, page=page,
                 n_slots=len(slots), is_slc=source.is_slc,
-                cause=Cause.WEAR,
+                cause=_WEAR,
                 ecc_ms=self.ecc.decode_ms_list(values),
             ))
-            ops.extend(self.relocate(source, page, slots, lsns, now, Cause.WEAR))
+            ops.extend(self.relocate(source, page, slots, lsns, now, _WEAR))
         if self.finish is not None:
-            ops.extend(self.finish(now, Cause.WEAR))
+            ops.extend(self.finish(now, _WEAR))
         self.flash.erase(source.block_id)
         ops.append(OpRecord(
-            kind=OpKind.ERASE, block_id=source.block_id, page=0, n_slots=0,
-            is_slc=source.is_slc, cause=Cause.WEAR,
+            kind=_ERASE, block_id=source.block_id, page=0, n_slots=0,
+            is_slc=source.is_slc, cause=_WEAR,
         ))
         # Same retirement rule as _drain_step: a block the fault plan
         # retired on erase stays out of the free pool for good.
-        if source.state is BlockState.FREE:
+        if source.state is _FREE:
             self.allocator.release(source.block_id)
         self.wear.note_erase()
         self.wear.leveling_moves += 1

@@ -37,6 +37,13 @@ class BlockLevel(enum.IntEnum):
         return BlockLevel(max(int(self) - 1, int(BlockLevel.HIGH_DENSITY)))
 
 
+#: ``PROMOTED[level]`` and ``DEMOTED[level]`` are
+#: ``BlockLevel(level).promoted()`` and ``.demoted()`` as member tables
+#: indexed by the int level: the IPU write and GC paths move data by one
+#: level per chunk, and an enum construction per move is measurable there.
+PROMOTED: tuple[BlockLevel, ...] = tuple(level.promoted() for level in BlockLevel)
+DEMOTED: tuple[BlockLevel, ...] = tuple(level.demoted() for level in BlockLevel)
+
 #: Levels the SLC-mode cache hosts, ascending.
 SLC_LEVELS: tuple[BlockLevel, ...] = (
     BlockLevel.WORK, BlockLevel.MONITOR, BlockLevel.HOT,

@@ -23,6 +23,13 @@ from .levels import BlockLevel
 from ..units import Lsn, Ms
 from .victim import GreedyVictimPolicy, VictimPolicy
 
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+_HOST = Cause.HOST
+_OPEN = BlockState.OPEN
+_FULL = BlockState.FULL
+_WORK = BlockLevel.WORK
+
 
 class MGAFTL(BaseFTL):
     """Subpage-packing FTL with partial programming."""
@@ -61,7 +68,8 @@ class MGAFTL(BaseFTL):
             return None
         block_id, page = self._pack
         block = self.flash.block(block_id)
-        if block.state not in (BlockState.OPEN, BlockState.FULL):
+        state = block.state
+        if state is not _OPEN and state is not _FULL:
             return None
         if page >= block.next_page:
             return None  # block was erased and reused
@@ -110,13 +118,13 @@ class MGAFTL(BaseFTL):
                 else:
                     # A dry cache spills the rest of the request to
                     # fully-packed high-density pages.
-                    block, page = self._host_page(BlockLevel.WORK, now, ops)
+                    block, page = self._host_page(_WORK, now, ops)
                     spilled = not block.is_slc
                 free = list(range(spp))
 
             take = min(len(free), len(remaining))
             chunk, remaining = remaining[:take], remaining[take:]
-            op = self._land(block, page, free[:take], chunk, now, Cause.HOST)
+            op = self._land(block, page, free[:take], chunk, now, _HOST)
             ops.append(op)
             # Pack state follows the actual target of a remapped pulse.
             block = blocks[op.block_id]

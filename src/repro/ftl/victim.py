@@ -205,42 +205,44 @@ class IsrVictimPolicy(_ScanAccounting):
         #: block_id -> (content_epoch, computed_at, t_mean, coldness)
         self._cold_cache: dict[int, tuple[int, float, float, float]] = {}
 
-    def _age_sum(self, block: Block, now: Ms) -> tuple[float, int]:
-        cached = self._age_cache.get(block.block_id)
-        if (cached is not None and cached[0] == block.content_epoch
-                and now - cached[1] <= self.refresh_ms):
-            epoch, at, age_sum, count = cached
-            # Ages grow linearly with the clock: shift the cached sum.
-            return age_sum + count * (now - at), count
-        age_sum, count = block_age_sum(block, now)
-        self._age_cache[block.block_id] = (block.content_epoch, now, age_sum, count)
-        return age_sum, count
-
-    def _coldness(self, block: Block, now: Ms, t_mean: float) -> float:
-        cached = self._cold_cache.get(block.block_id)
-        if (cached is not None and cached[0] == block.content_epoch
-                and now - cached[1] <= self.refresh_ms
-                and abs(t_mean - cached[2]) <= 0.25 * max(cached[2], 1e-9)):
-            return cached[3]
-        value = block_coldness(block, now, t_mean)
-        self._cold_cache[block.block_id] = (block.content_epoch, now, t_mean, value)
-        return value
-
     def select(self, candidates: list[Block], now: Ms) -> Block | None:
         start = time.perf_counter()
+        refresh_ms = self.refresh_ms
+        # Both stored-IS' cache lookups are inlined: this loop runs once
+        # per candidate per GC scan, the largest cost of a replay at scale.
+        age_cache = self._age_cache
         total_age = 0.0
         total_count = 0
         for block in candidates:
-            age_sum, count = self._age_sum(block, now)
+            cached = age_cache.get(block.block_id)
+            if (cached is not None and cached[0] == block.content_epoch
+                    and now - cached[1] <= refresh_ms):
+                epoch, at, age_sum, count = cached
+                # Ages grow linearly with the clock: shift the cached sum.
+                age_sum = age_sum + count * (now - at)
+            else:
+                age_sum, count = block_age_sum(block, now)
+                age_cache[block.block_id] = (
+                    block.content_epoch, now, age_sum, count)
             total_age += age_sum
             total_count += count
         t_mean = total_age / total_count if total_count else 0.0
 
+        cold_cache = self._cold_cache
         best: Block | None = None
         best_score = 0.0
         for block in candidates:
-            score = (block.n_invalid
-                     + self._coldness(block, now, t_mean)) / block.total_subpages
+            cached = cold_cache.get(block.block_id)
+            if (cached is not None and cached[0] == block.content_epoch
+                    and now - cached[1] <= refresh_ms
+                    and abs(t_mean - cached[2]) <= 0.25 * max(cached[2], 1e-9)):
+                coldness = cached[3]
+            else:
+                coldness = block_coldness(block, now, t_mean)
+                cold_cache[block.block_id] = (
+                    block.content_epoch, now, t_mean, coldness)
+            # ``pages * spp`` is ``total_subpages`` without the property frame.
+            score = (block.n_invalid + coldness) / (block.pages * block.spp)
             if score > best_score or (score == best_score and best is not None
                                       and score > 0.0
                                       and block.block_id < best.block_id):

@@ -74,6 +74,12 @@ BLOCK_STATE_CODES: dict[BlockState, int] = {
     BlockState.RETIRED: 4,
 }
 
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+_FREE = BlockState.FREE
+_OPEN = BlockState.OPEN
+_FULL = BlockState.FULL
+
 
 class Block:
     """State of one physical block: a view over its region's arrays.
@@ -337,9 +343,10 @@ class Block:
         if n != len(lsns) or not n:
             raise SubpageStateError(
                 f"block {self.block_id}: slots/lsns mismatch ({slots} vs {lsns})")
-        if self.state not in (BlockState.OPEN, BlockState.FULL):
+        state = self.state
+        if state is not _OPEN and state is not _FULL:
             raise SubpageStateError(
-                f"block {self.block_id}: program while {self.state.value}")
+                f"block {self.block_id}: program while {state.value}")
 
         if page == self.next_page:
             partial = False
@@ -421,9 +428,9 @@ class Block:
         self.page_valid[page] = before + n
         if before == 0:
             self.pages_with_valid += 1
-        became_full = self.next_page >= self.pages and self.state is BlockState.OPEN
+        became_full = self.next_page >= self.pages and state is _OPEN
         if became_full:
-            self.state = BlockState.FULL
+            self.state = _FULL
             region.state_code[self.region_slot] = 2  # BLOCK_STATE_CODES[FULL]
         self.content_epoch += 1
         # Watcher updates inlined (RegionCounters.note_program and
@@ -604,7 +611,7 @@ class Block:
         if self.n_valid != 0:
             raise EraseError(
                 f"block {self.block_id}: erase with {self.n_valid} valid subpages")
-        if self.state is BlockState.FREE:
+        if self.state is _FREE:
             raise EraseError(f"block {self.block_id}: erase of a free block")
         counters = self.counters
         if counters is not None:
@@ -614,7 +621,7 @@ class Block:
             index.note_leave(self.block_id)
         self.erase_count += 1
         self.next_page = 0
-        self.state = BlockState.FREE
+        self.state = _FREE
         self.level = None
         region = self.region
         slot = self.region_slot

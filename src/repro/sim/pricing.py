@@ -31,6 +31,11 @@ from .timing import TimingModel
 #: returns the time it ends.
 Reserve = Callable[[OpRecord, Ms], Ms]
 
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+_ERASE = OpKind.ERASE
+_PROGRAM = OpKind.PROGRAM
+
 
 def op_pricer(timing: TimingModel, resources: ResourceSet,
               pipelined: bool) -> Reserve:
@@ -50,8 +55,8 @@ def op_pricer(timing: TimingModel, resources: ResourceSet,
     transfer_unit = timing._transfer
     read_ms = timing._read
     write_ms = timing._write
-    erase_kind = OpKind.ERASE
-    program_kind = OpKind.PROGRAM
+    erase_kind = _ERASE
+    program_kind = _PROGRAM
 
     def reserve(op: OpRecord, when: Ms) -> Ms:
         kind = op.kind

@@ -30,6 +30,13 @@ from .pricing import op_pricer
 from .resources import ResourceSet
 from .timing import TimingModel
 
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+#: Op causes that complete a host request.
+_HOSTLIKE = (Cause.HOST, Cause.TRANSLATION)
+_HOST = Cause.HOST
+_READ = OpKind.READ
+
 
 @dataclass
 class SimulationResult:
@@ -432,9 +439,9 @@ class OpenLoopReplay:
         subpage_bits = self._subpage_bits
         handle_write = ftl.handle_write
         handle_read = ftl.handle_read
-        hostlike = (Cause.HOST, Cause.TRANSLATION)
-        host_cause = Cause.HOST
-        read_kind = OpKind.READ
+        hostlike = _HOSTLIKE
+        host_cause = _HOST
+        read_kind = _READ
         faults_plan = getattr(ftl, "faults", None)
         next_power_loss = self.next_power_loss
         base_index = self.n
@@ -590,9 +597,9 @@ class ClosedLoopReplay:
         subpage_bits = self._subpage_bits
         handle_write = ftl.handle_write
         handle_read = ftl.handle_read
-        hostlike = (Cause.HOST, Cause.TRANSLATION)
-        host_cause = Cause.HOST
-        read_kind = OpKind.READ
+        hostlike = _HOSTLIKE
+        host_cause = _HOST
+        read_kind = _READ
         observer = self.observer
         base_index = self.n
         now = self.now

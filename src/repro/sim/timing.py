@@ -20,6 +20,11 @@ from ..error import EccModel, RberModel
 from ..units import Ms
 from .ops import OpKind, OpRecord
 
+# Enum members used per request or per op, bound once (see
+# docs/PERFORMANCE.md, "Enum members and level arithmetic on the hot path").
+_ERASE = OpKind.ERASE
+_PROGRAM = OpKind.PROGRAM
+
 
 class TimingModel:
     """Prices :class:`~repro.sim.ops.OpRecord` instances."""
@@ -43,10 +48,10 @@ class TimingModel:
     def duration_ms(self, op: OpRecord) -> Ms:
         """Service time of one operation on its chip/channel pair."""
         kind = op.kind
-        if kind is OpKind.ERASE:
+        if kind is _ERASE:
             return self._erase_ms
         transfer = self._transfer * op.channel_slots
-        if kind is OpKind.PROGRAM:
+        if kind is _PROGRAM:
             return transfer + self._write[op.is_slc]
         return self._read[op.is_slc] + transfer + op.ecc_ms
 
@@ -57,10 +62,10 @@ class TimingModel:
         channel, so it is charged to the channel stage of reads.
         """
         kind = op.kind
-        if kind is OpKind.ERASE:
+        if kind is _ERASE:
             return self._erase_ms, 0.0, True
         transfer = self._transfer * op.channel_slots
-        if kind is OpKind.PROGRAM:
+        if kind is _PROGRAM:
             return self._write[op.is_slc], transfer, False
         return self._read[op.is_slc], transfer + op.ecc_ms, True
 
@@ -79,9 +84,9 @@ class TimingModel:
                             dtype=np.float64, count=n)
         slc = np.fromiter((op.is_slc for op in ops), dtype=bool, count=n)
         ecc = np.fromiter((op.ecc_ms for op in ops), dtype=np.float64, count=n)
-        is_erase = np.fromiter((op.kind is OpKind.ERASE for op in ops),
+        is_erase = np.fromiter((op.kind is _ERASE for op in ops),
                                dtype=bool, count=n)
-        is_program = np.fromiter((op.kind is OpKind.PROGRAM for op in ops),
+        is_program = np.fromiter((op.kind is _PROGRAM for op in ops),
                                  dtype=bool, count=n)
         transfer = self._transfer * slots
         read_ms = np.where(slc, self._read[True], self._read[False])

@@ -9,6 +9,9 @@ consistency (``hits + misses == reads``) and the capacity bound that
 ``docs/FRONTEND.md`` promises.
 """
 
+import pickle
+from collections import OrderedDict
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from repro import SCHEMES
 from repro.errors import ConfigError
 from repro.frontend import FrontendConfig, WriteBuffer
+from repro.rng import make_rng
 
 from conftest import tiny_config
 
@@ -220,3 +224,76 @@ class TestBufferUnits:
         assert FrontendConfig.from_json(fe.to_json()) == fe
         assert not FrontendConfig().enabled
         assert fe.enabled
+
+
+class TestBufferContainer:
+    """The ordered mapping behind the buffer is a container choice: it
+    must not change a single eviction."""
+
+    def test_large_buffer_spans_match_plain_dict(self):
+        """A seeded write/read/expire mix at 65,536 subpages fills the
+        buffer (pressure drains) and ages it (expiries); the
+        ``OrderedDict`` buffer emits the same spans as a plain ``dict``."""
+        fe = FrontendConfig(enabled=True, buffer_subpages=65536,
+                            flush_watermark=0.5, writeback_delay_ms=300.0,
+                            flush_span_subpages=8)
+        ordered = WriteBuffer(fe)
+        assert isinstance(ordered._entries, OrderedDict)
+        plain = WriteBuffer(fe)
+        plain._entries = {}
+        n = 40_000
+        rng = make_rng(7, "test:buffer-container")
+        firsts = rng.integers(0, 300_000, n).tolist()
+        sizes = rng.integers(1, 9, n).tolist()
+        rolls = rng.random(n).tolist()
+        now = 0.0
+        pressure = expired = 0
+        for i in range(n):
+            # A dense burst fills the buffer, then a slower tail ages it.
+            now += 0.01 if i < 30_000 else 0.1
+            lsns = list(range(firsts[i], firsts[i] + sizes[i]))
+            roll = rolls[i]
+            if roll < 0.6:
+                spans = ordered.write(lsns, now)
+                assert spans == plain.write(lsns, now)
+                pressure += len(spans)
+            elif roll < 0.9:
+                assert ordered.split_read(lsns) == plain.split_read(lsns)
+            else:
+                spans = ordered.expire(now)
+                assert spans == plain.expire(now)
+                expired += len(spans)
+        assert ordered.drain() == plain.drain()
+        assert ordered.stats == plain.stats
+        assert pressure and expired  # both eviction paths ran
+
+    def test_checkpoint_with_plain_dict_buffer_resumes(self):
+        """A simulator pickled while its buffer held a plain ``dict``
+        (checkpoints written before the buffer became ordered) resumes
+        to the same result as an uninterrupted run."""
+        from repro.frontend.simulate import FrontendSimulator
+        from repro.traces import generate
+        from repro.traces.model import Trace
+        from repro.traces.profiles import profile
+
+        cfg = tiny_config(seed=3)
+        fe = FrontendConfig.from_qd(4)
+        trace = generate(profile("ts0"), n_requests=500, seed=5,
+                         mean_interarrival_ms=0.6)
+        expected = FrontendSimulator(SCHEMES["ipu"](cfg), fe, cfg).run(
+            trace).deterministic_dict()
+
+        def cut(a, b):
+            return Trace(trace.times_ms[a:b], trace.is_write[a:b],
+                         trace.offsets[a:b], trace.sizes[a:b], name=trace.name)
+
+        head, tail = cut(0, 210), cut(210, len(trace))
+        paused = FrontendSimulator(SCHEMES["ipu"](cfg), fe, cfg)
+        paused.feed(head)
+        paused.buffer._entries = dict(paused.buffer._entries)
+        assert paused.buffer.occupancy
+        resumed = pickle.loads(pickle.dumps(paused, protocol=5))
+        assert type(resumed.buffer._entries) is dict
+        resumed.feed(tail)
+        resumed.finish()
+        assert resumed.result(trace.name).deterministic_dict() == expected

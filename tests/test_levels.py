@@ -1,6 +1,6 @@
 """Block-level hierarchy (Work/Monitor/Hot)."""
 
-from repro.ftl.levels import SLC_LEVELS, BlockLevel
+from repro.ftl.levels import DEMOTED, PROMOTED, SLC_LEVELS, BlockLevel
 
 
 class TestBlockLevel:
@@ -35,3 +35,11 @@ class TestBlockLevel:
     def test_int_values_match_algorithm1(self):
         # Algorithm 1: block_flag (0, 1, 2, 3).
         assert [int(l) for l in BlockLevel] == [0, 1, 2, 3]
+
+    def test_level_tables_match_the_methods(self):
+        # The hot path indexes these by the int level instead of calling
+        # promoted()/demoted(); the tables must be the same members.
+        for level in BlockLevel:
+            assert PROMOTED[int(level)] is level.promoted()
+            assert DEMOTED[int(level)] is level.demoted()
+        assert len(PROMOTED) == len(DEMOTED) == len(BlockLevel)

@@ -10,7 +10,7 @@ import pytest
 
 from repro import SCHEMES, SSDConfig
 from repro.errors import SimulationError
-from repro.experiments.cache import CACHE_SCHEMA_VERSION, cell_key
+from repro.experiments.cache import CACHE_SCHEMA_VERSION, ResultCache, cell_key
 from repro.sim import Simulator
 from repro.sim.simulator import SimulationResult
 from repro.traces.profiles import profile
@@ -71,6 +71,22 @@ KEY_ARGS = dict(n_requests=4000, interarrival_ms=0.52, scheme="ipu",
 def key_for(config: SSDConfig, **overrides) -> str:
     kwargs = {**KEY_ARGS, **overrides}
     return cell_key(config, profile(kwargs.pop("trace", "ts0")), **kwargs)
+
+
+class TestCacheWrite:
+    def test_put_writes_compact_dumps_bytes(self, result, tmp_path):
+        """An entry holds exactly the compact ``json.dumps`` text of the
+        payload (the C encoder), and restores to an equal result."""
+        cache = ResultCache(tmp_path)
+        payload = result.to_dict()
+        cache.put("ab" * 32, payload)
+        path = cache.path_for("ab" * 32)
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            payload, separators=(",", ":"))
+        restored = cache.get("ab" * 32)
+        assert restored == payload
+        assert (SimulationResult.from_dict(restored).deterministic_dict()
+                == result.deterministic_dict())
 
 
 class TestCellKey:
